@@ -3,7 +3,7 @@ GO ?= go
 # Preset for the tracked offline benchmark; CI smoke-tests with tiny.
 BENCH_PRESET ?= lastfm
 
-.PHONY: build test bench bench-smoke vet vet-custom check fmt fuzz lint e2e-distrib e2e-replicate
+.PHONY: build test bench bench-smoke bench-check vet vet-custom check fmt fuzz lint e2e-replicate
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,16 @@ vet-custom:
 	$(GO) vet -vettool=$(abspath bin/cubelsivet) ./...
 
 # check is the full local gate: formatting idiom, both vet suites,
-# lint, and the race-enabled tests.
-check: vet-custom lint test
+# lint, the race-enabled tests, and the benchmark module.
+check: vet-custom lint test bench-check
+
+# bench-check vets, tests and smoke-runs the nested benchmark module
+# (bench/, which `go build ./... && go test ./...` never compiles), so a
+# change under internal/ that breaks what it links against fails here.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
+	$(GO) run -C bench repro/bench -smoke
 
 # lint mirrors the CI lint job (.golangci.yml); falls back to go vet
 # when golangci-lint is not installed locally.
@@ -49,12 +57,6 @@ bench:
 # work that belongs in the full `make bench` run.
 bench-smoke:
 	$(GO) run ./cmd/benchoffline -preset tiny -scale-tags 1000,5000 -skip-ann -out BENCH_offline.json
-
-# e2e-distrib runs the coordinator against two real cubelsiworker
-# processes and asserts the distributed model file is byte-identical to
-# the in-process one.
-e2e-distrib:
-	./scripts/e2e_distrib.sh
 
 # e2e-replicate runs one cubelsiserve writer and two read-only replicas,
 # streams a delta log through /stream, and asserts both replicas converge

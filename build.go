@@ -11,15 +11,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/tagging"
 	"repro/internal/tucker"
 )
 
 // ErrInvalidOptions tags build-option validation failures: Build,
 // NewIndex and Index.Apply return errors wrapping it when an option
-// carries a value the pipeline cannot run with (negative shard or worker
-// counts, unusable worker endpoints).
+// carries a value the pipeline cannot run with (a negative worker
+// count).
 var ErrInvalidOptions = errors.New("cubelsi: invalid options")
 
 // Stage identifies one Figure-1 stage of the offline pipeline.
@@ -116,10 +115,7 @@ type buildSettings struct {
 	progress      ProgressFunc
 	exactSpectral bool
 	tuckerWorkers int
-	shards        int
 	sketch        tucker.SketchOptions
-	remote        *distrib.Coordinator
-	remoteCount   int
 
 	// Incremental-lifecycle knobs, consumed by NewIndex and Index.Apply.
 	moveThreshold    float64
@@ -173,53 +169,6 @@ func WithTuckerParallelism(workers int) BuildOption {
 			return
 		}
 		s.tuckerWorkers = workers
-	}
-}
-
-// WithShards partitions the tag-row stages of the offline pipeline —
-// the mode-n unfolding products inside the ALS sweep, the Theorem 2
-// embedding projection, the k-means assignment scans, and the
-// incremental move-detection and re-assignment scans of Index.Apply —
-// into n contiguous row blocks, each processed as one bounded unit of
-// work. Shard results merge through deterministic reductions, so
-// partitions, rankings and (on the exact path) factors are bit-identical
-// at any shard count: like WithTuckerParallelism, the knob trades only
-// peak per-unit work and wall clock, never reproducibility. Zero or one
-// (the default) keeps the monolithic single-block build; counts above
-// the row count degrade to one row per block. Negative counts are
-// rejected (the build returns an error wrapping ErrInvalidOptions)
-// rather than silently clamped.
-func WithShards(n int) BuildOption {
-	return func(s *buildSettings) {
-		if n < 0 {
-			s.fail(fmt.Errorf("%w: WithShards(%d): shard count must be non-negative", ErrInvalidOptions, n))
-			return
-		}
-		s.shards = n
-	}
-}
-
-// WithRemoteWorkers distributes the block-parallel stages of the
-// offline build — the projected mode-n unfoldings of the ALS sweep, the
-// Theorem 2 embedding projection, and the Lloyd assignment scans —
-// across cubelsiworker processes at the given base URLs (a missing
-// scheme defaults to http). The build's output is bit-identical to the
-// in-process build at any worker count: block payloads and results
-// travel as raw IEEE-754 bits and are reduced in the same deterministic
-// global row order the sharded local path uses. Workers that fail or
-// stall are retried, then their blocks are reassigned to survivors, and
-// when every worker is unreachable the coordinator computes blocks
-// locally — remote trouble degrades speed, never correctness. Unless
-// WithShards says otherwise, the build uses one shard per worker.
-func WithRemoteWorkers(endpoints ...string) BuildOption {
-	return func(s *buildSettings) {
-		c, err := distrib.NewCoordinator(endpoints, distrib.Options{})
-		if err != nil {
-			s.fail(fmt.Errorf("%w: WithRemoteWorkers: %v", ErrInvalidOptions, err))
-			return
-		}
-		s.remote = c
-		s.remoteCount = c.NumWorkers()
 	}
 }
 
@@ -331,7 +280,7 @@ func coreOptions(settings buildSettings, st tagging.Stats) core.Options {
 	if cfg.CoreDims[2] > 0 {
 		j3 = cfg.CoreDims[2]
 	}
-	o := core.Options{
+	return core.Options{
 		Tucker: tucker.Options{
 			J1: j1, J2: j2, J3: j3,
 			MaxSweeps: cfg.MaxSweeps,
@@ -345,19 +294,8 @@ func coreOptions(settings buildSettings, st tagging.Stats) core.Options {
 			Seed:  cfg.Seed,
 		},
 		ExactSpectral: settings.exactSpectral,
-		Shards:        settings.shards,
 		Progress:      settings.progress,
 	}
-	if settings.remote != nil {
-		o.Remote = settings.remote
-		if o.Shards <= 1 {
-			// One block per worker is the natural distributed default; any
-			// plan produces bit-identical results, so this only spreads
-			// work.
-			o.Shards = settings.remoteCount
-		}
-	}
-	return o
 }
 
 // buildPipeline is the shared cold-build path of Build and NewIndex: it

@@ -2,7 +2,7 @@
 // by cmd/benchoffline. It has two modes:
 //
 //	benchdiff compare -base base.json -head head.json [-threshold 0.25] [-min-ms 25]
-//	    Compare the decompose/build/update/shard/stream/ann/rerank timings
+//	    Compare the decompose/build/update/stream/ann/rerank timings
 //	    of a PR's benchmark run against the merge-base run and fail (exit 1)
 //	    when a tracked metric regresses by more than threshold AND by more
 //	    than min-ms of absolute wall clock (the floor keeps sub-millisecond
@@ -46,18 +46,6 @@ type benchFile struct {
 			Millis  float64 `json:"ms"`
 		} `json:"workers"`
 	} `json:"decompose"`
-	Shard struct {
-		Points []struct {
-			Shards int     `json:"shards"`
-			Millis float64 `json:"ms"`
-		} `json:"shards"`
-	} `json:"shard"`
-	Distrib struct {
-		Points []struct {
-			Workers int     `json:"workers"`
-			Millis  float64 `json:"ms"`
-		} `json:"workers"`
-	} `json:"distrib"`
 	Update struct {
 		FullRebuildMS float64 `json:"full_rebuild_ms"`
 		WarmApplyMS   float64 `json:"warm_apply_ms"`
@@ -141,20 +129,6 @@ func timings(b *benchFile) []metric {
 			name: fmt.Sprintf("decompose.workers[%d].ms", w.Workers),
 			ms:   w.Millis,
 			ok:   w.Millis > 0,
-		})
-	}
-	for _, s := range b.Shard.Points {
-		ms = append(ms, metric{
-			name: fmt.Sprintf("shard.shards[%d].ms", s.Shards),
-			ms:   s.Millis,
-			ok:   s.Millis > 0,
-		})
-	}
-	for _, d := range b.Distrib.Points {
-		ms = append(ms, metric{
-			name: fmt.Sprintf("distrib.workers[%d].ms", d.Workers),
-			ms:   d.Millis,
-			ok:   d.Millis > 0,
 		})
 	}
 	if v := b.Stream.FlushToVisibleMS; v > 0 {

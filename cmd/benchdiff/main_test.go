@@ -105,66 +105,6 @@ func TestCompareGatesUpdateSection(t *testing.T) {
 	}
 }
 
-func TestCompareGatesShardSection(t *testing.T) {
-	base := parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 500}, {"shards": 4, "ms": 180}]}
-    }`)
-
-	// Within threshold: quiet.
-	head := parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 520}, {"shards": 4, "ms": 190}]}
-    }`)
-	if regs := regressions(compare(base, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %+v", regs)
-	}
-
-	// A 4-shard pass that slowed past threshold+floor trips the gate the
-	// same way decompose worker points do.
-	head = parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 500}, {"shards": 4, "ms": 400}]}
-    }`)
-	regs := regressions(compare(base, head, 0.25, 25))
-	if len(regs) != 1 || regs[0].name != "shard.shards[4].ms" {
-		t.Fatalf("want shard.shards[4].ms regression, got %+v", regs)
-	}
-
-	// Baselines predating the shard section never fail on it.
-	old := parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
-	if regs := regressions(compare(old, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("shard metrics without baseline must be skipped: %+v", regs)
-	}
-}
-
-func TestCompareGatesDistribSection(t *testing.T) {
-	base := parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 800}, {"workers": 2, "ms": 450}]}
-    }`)
-
-	// Within threshold: quiet.
-	head := parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 820}, {"workers": 2, "ms": 470}]}
-    }`)
-	if regs := regressions(compare(base, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %+v", regs)
-	}
-
-	// A 2-worker remote build that slowed past threshold+floor trips the
-	// gate like any other timing.
-	head = parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 800}, {"workers": 2, "ms": 700}]}
-    }`)
-	regs := regressions(compare(base, head, 0.25, 25))
-	if len(regs) != 1 || regs[0].name != "distrib.workers[2].ms" {
-		t.Fatalf("want distrib.workers[2].ms regression, got %+v", regs)
-	}
-
-	// Baselines predating the distrib section never fail on it.
-	old := parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
-	if regs := regressions(compare(old, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("distrib metrics without baseline must be skipped: %+v", regs)
-	}
-}
-
 func TestCompareGatesStreamSection(t *testing.T) {
 	base := parse(t, `{
       "stream": {"ingest_per_sec": 100000, "flush_to_visible_ms": 400}

@@ -281,8 +281,8 @@ func benchMmapLoad() mmapLoadReport {
 		}
 	}
 	if !rep.RankParity {
-		// Same contract as the shard and distrib scans: identical rankings
-		// across load paths are the product, so a divergence fails loudly.
+		// Identical rankings across load paths are the product, so a
+		// divergence fails loudly.
 		fatal(fmt.Errorf("mmap benchmark: mapped and heap-decoded engines rank differently"))
 	}
 	if err := mappedEng.Close(); err != nil {

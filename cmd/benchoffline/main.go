@@ -9,16 +9,9 @@
 //     exact-spectral (seed) pipeline on a generated corpus, per stage.
 //   - decompose: the ALS decomposition timed across worker-pool sizes
 //     plus the sketched path.
-//   - shard: the sharded tag-row stages (mode-2 unfolding product,
-//     embedding projection, concept k-means) timed at 1, 2 and 4
-//     shards, with a recomputed bit-identity check against the
-//     single-shard reference.
 //   - update: the incremental lifecycle — warm-started Index.Apply of a
 //     ~1% assignment delta vs a cold full rebuild (sweep counts and
 //     wall clock; the CI perf gate tracks both timings).
-//   - distrib: the full offline build fanned out to 1 and 2 in-process
-//     cubelsiworker instances over loopback HTTP, with a recomputed
-//     bit-identity check against the in-process build.
 //   - stream: the update delta offered record-by-record through the
 //     streaming Ingestor (the /stream micro-batching engine) — enqueue
 //     rate plus the flush-to-visible latency of the closing synchronous
@@ -42,8 +35,7 @@
 //	benchoffline [-preset tiny|delicious|bibsonomy|lastfm|tags10k|tags100k]
 //	             [-out BENCH_offline.json] [-scale-tags 1000,5000]
 //	             [-skip-exact] [-skip-update] [-update-delta 0.01]
-//	             [-shards N] [-skip-shard-scan] [-skip-distrib] [-skip-ann]
-//	             [-skip-stream] [-skip-rerank]
+//	             [-skip-ann] [-skip-stream] [-skip-rerank]
 //	             [-queries 256]
 package main
 
@@ -53,8 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -67,8 +57,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/distrib"
-	"repro/internal/embed"
 	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/tagging"
@@ -119,30 +107,6 @@ type decomposeReport struct {
 	// SpeedupMaxWorkers is ms(workers=1) / ms(workers=GOMAXPROCS).
 	SpeedupMaxWorkers float64      `json:"speedup_max_workers"`
 	Sketched          *sketchPoint `json:"sketched,omitempty"`
-}
-
-// shardScalePoint is one timed pass over the sharded tag-row stages —
-// a mode-2 projected unfolding product (the ALS sweep's unit), the
-// Theorem 2 embedding projection, and the concept k-means — at a fixed
-// shard count.
-type shardScalePoint struct {
-	Shards    int     `json:"shards"`
-	Millis    float64 `json:"ms"` // unfold + embed + cluster
-	UnfoldMS  float64 `json:"unfold_ms"`
-	EmbedMS   float64 `json:"embed_ms"`
-	ClusterMS float64 `json:"cluster_ms"`
-}
-
-// shardReport is the shard-scaling record: the same sharded stages timed
-// at 1, 2 and 4 shards. Partitions and embeddings are bit-identical
-// across the scan (ParityWithSingleShard records the check, recomputed
-// every run), so the points measure only how the work divides.
-type shardReport struct {
-	Points                []shardScalePoint `json:"shards"`
-	ParityWithSingleShard bool              `json:"parity_with_single_shard"`
-	// SpeedupMaxShards is ms(shards=1) / ms(shards=4) — above 1 only
-	// when the shard blocks actually run concurrently (multi-core).
-	SpeedupMaxShards float64 `json:"speedup_max_shards"`
 }
 
 // updateReport records the incremental-lifecycle benchmark: a
@@ -196,23 +160,6 @@ type streamReport struct {
 	FlushToVisibleMS float64 `json:"flush_to_visible_ms"`
 }
 
-// distribWorkerPoint is one timed offline build fanned out to a fixed
-// number of in-process worker instances over loopback HTTP.
-type distribWorkerPoint struct {
-	Workers int     `json:"workers"`
-	Millis  float64 `json:"ms"`
-}
-
-// distribReport is the distributed-build record: the same build run
-// against 1 and 2 cubelsiworker instances. The remote plan is
-// bit-identical to the in-process build at any worker count
-// (ParityWithInProcess records the check, recomputed every run), so the
-// points measure protocol and transfer overhead at this corpus scale.
-type distribReport struct {
-	Points              []distribWorkerPoint `json:"workers"`
-	ParityWithInProcess bool                 `json:"parity_with_in_process"`
-}
-
 type queryReport struct {
 	Count  int     `json:"count"`
 	MeanUS float64 `json:"mean_us"`
@@ -244,8 +191,6 @@ type report struct {
 	Assignments int             `json:"assignments"`
 	Build       buildReport     `json:"build"`
 	Decompose   decomposeReport `json:"decompose"`
-	Shard       *shardReport    `json:"shard,omitempty"`
-	Distrib     *distribReport  `json:"distrib,omitempty"`
 	Update      *updateReport   `json:"update,omitempty"`
 	Stream      *streamReport   `json:"stream,omitempty"`
 	Ann         *annReport      `json:"ann,omitempty"`
@@ -261,9 +206,6 @@ func main() {
 	scaleTags := flag.String("scale-tags", "1000,5000", "comma-separated tag counts for the size-scaling section")
 	skipExact := flag.Bool("skip-exact", false, "skip the exact-spectral comparison build")
 	skipDecomposeScan := flag.Bool("skip-decompose-scan", false, "skip the per-worker decompose scaling scan")
-	skipShardScan := flag.Bool("skip-shard-scan", false, "skip the per-shard scaling scan of the tag-row stages")
-	skipDistrib := flag.Bool("skip-distrib", false, "skip the distributed-build (in-process worker fleet) benchmark")
-	shards := flag.Int("shards", 0, "shard count for the headline builds (0/1 = monolithic; results identical at any value)")
 	skipUpdate := flag.Bool("skip-update", false, "skip the incremental-update (warm-start vs rebuild) benchmark")
 	skipANN := flag.Bool("skip-ann", false, "skip the ANN serving benchmark (IVF vs exact at the tags10k/tags100k scales, plus the mmap load comparison)")
 	skipStream := flag.Bool("skip-stream", false, "skip the streaming-ingestion (Ingestor enqueue + flush-to-visible) benchmark")
@@ -274,9 +216,6 @@ func main() {
 	numQueries := flag.Int("queries", 256, "query workload size")
 	flag.Parse()
 
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be non-negative, got %d", *shards))
-	}
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers must be non-negative, got %d", *workers))
 	}
@@ -310,7 +249,6 @@ func main() {
 			Workers: *workers,
 		},
 		Spectral: cluster.SpectralOptions{K: k, Seed: params.Seed},
-		Shards:   *shards,
 	}
 
 	fmt.Fprintf(os.Stderr, "benchoffline: embedding-first build (|T|=%d, k2=%d)\n", st.Tags, j2)
@@ -338,16 +276,6 @@ func main() {
 
 	if !*skipDecomposeScan {
 		rep.Decompose = scanDecompose(p, opts.Tucker)
-	}
-
-	if !*skipShardScan {
-		sh := scanShards(p, opts)
-		rep.Shard = &sh
-	}
-
-	if !*skipDistrib {
-		d := scanDistrib(p, corpus.Clean, opts)
-		rep.Distrib = &d
 	}
 
 	if !*skipUpdate {
@@ -495,133 +423,6 @@ func scanDecompose(p *core.Pipeline, tuck tucker.Options) decomposeReport {
 	rep.Sketched = &sketchPoint{Millis: ms, Fit: d.Fit}
 	if ms > 0 {
 		rep.Sketched.Speedup = exactMS / ms
-	}
-	return rep
-}
-
-// scanShards re-runs the sharded tag-row stages of the already-built
-// pipeline — one mode-2 projected unfolding product (the per-sweep ALS
-// unit the shards bound), the Theorem 2 embedding projection, and the
-// concept k-means — at 1, 2 and 4 shards, asserting along the way that
-// every shard count reproduces the single-shard partition and embedding
-// bit for bit. The decomposition itself is not repeated: sharding
-// changes how the work divides, never what it computes, so the
-// interesting numbers are the per-stage times of the stages that shard.
-func scanShards(p *core.Pipeline, opts core.Options) shardReport {
-	rep := shardReport{ParityWithSingleShard: true}
-	var refEmb []float64
-	var refAssign []int
-	ms := func(start time.Time) float64 { return float64(time.Since(start).Nanoseconds()) / 1e6 }
-
-	for _, s := range []int{1, 2, 4} {
-		fmt.Fprintf(os.Stderr, "benchoffline: shard scan, shards=%d\n", s)
-		pt := shardScalePoint{Shards: s}
-
-		start := time.Now()
-		tensor.ProjectedUnfoldSharded(p.Tensor, 2, p.Decomposition.Y1, p.Decomposition.Y3, opts.Tucker.Workers, s)
-		pt.UnfoldMS = ms(start)
-
-		start = time.Now()
-		emb := embed.FromDecompositionSharded(p.Decomposition, s)
-		pt.EmbedMS = ms(start)
-
-		sOpts := opts.Spectral
-		sOpts.Shards = s
-		start = time.Now()
-		res := cluster.ConceptKMeans(emb.Matrix(), p.Decomposition.Lambda[1], sOpts)
-		pt.ClusterMS = ms(start)
-
-		pt.Millis = pt.UnfoldMS + pt.EmbedMS + pt.ClusterMS
-		rep.Points = append(rep.Points, pt)
-
-		if s == 1 {
-			refEmb = emb.Matrix().Data()
-			refAssign = res.Assign
-			continue
-		}
-		for i, v := range refEmb {
-			if emb.Matrix().Data()[i] != v {
-				rep.ParityWithSingleShard = false
-				break
-			}
-		}
-		for i, c := range refAssign {
-			if res.Assign[i] != c {
-				rep.ParityWithSingleShard = false
-				break
-			}
-		}
-	}
-	if !rep.ParityWithSingleShard {
-		// The contract is bit-identity; a divergence is a bug worth
-		// failing the benchmark loudly over, not just recording.
-		fatal(fmt.Errorf("shard scan: sharded stages diverged from the single-shard reference"))
-	}
-	last := rep.Points[len(rep.Points)-1]
-	if last.Millis > 0 {
-		rep.SpeedupMaxShards = rep.Points[0].Millis / last.Millis
-	}
-	return rep
-}
-
-// scanDistrib re-runs the whole offline build with the distributable
-// stages fanned out to 1 and then 2 in-process cubelsiworker instances
-// over loopback HTTP, asserting that each run reproduces the in-process
-// pipeline bit for bit (the coordinator reduces blocks in global row
-// order, so worker count never changes what is computed — only where).
-// The points therefore measure pure protocol and transfer overhead at
-// this corpus scale.
-func scanDistrib(p *core.Pipeline, ds *tagging.Dataset, opts core.Options) distribReport {
-	rep := distribReport{ParityWithInProcess: true}
-	for _, n := range []int{1, 2} {
-		fmt.Fprintf(os.Stderr, "benchoffline: distrib scan, workers=%d\n", n)
-		endpoints := make([]string, n)
-		servers := make([]*httptest.Server, n)
-		for i := range endpoints {
-			servers[i] = httptest.NewServer(distrib.NewWorker(distrib.WorkerOptions{}).Handler())
-			endpoints[i] = servers[i].URL
-		}
-		c, err := distrib.NewCoordinator(endpoints, distrib.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		ropts := opts
-		ropts.Remote = c
-		if ropts.Shards <= 1 {
-			ropts.Shards = 2 * n // at least one block per worker
-		}
-		start := time.Now()
-		rp, err := core.Build(context.Background(), ds, ropts)
-		for _, srv := range servers {
-			srv.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		rep.Points = append(rep.Points, distribWorkerPoint{
-			Workers: n,
-			Millis:  float64(time.Since(start).Nanoseconds()) / 1e6,
-		})
-
-		g, w := rp.Embedding.Matrix().Data(), p.Embedding.Matrix().Data()
-		if len(g) != len(w) || rp.K != p.K || len(rp.Assign) != len(p.Assign) {
-			rep.ParityWithInProcess = false
-		}
-		for i := 0; rep.ParityWithInProcess && i < len(g); i++ {
-			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-				rep.ParityWithInProcess = false
-			}
-		}
-		for i := 0; rep.ParityWithInProcess && i < len(p.Assign); i++ {
-			if rp.Assign[i] != p.Assign[i] {
-				rep.ParityWithInProcess = false
-			}
-		}
-		if !rep.ParityWithInProcess {
-			// Same contract as the shard scan: bit-identity is the product,
-			// so a divergence fails the benchmark loudly.
-			fatal(fmt.Errorf("distrib scan: remote build at %d workers diverged from the in-process build", n))
-		}
 	}
 	return rep
 }

@@ -12,8 +12,6 @@
 //	cubelsi -load old.model -save new.model        # upgrade v1/v2 → v3 format
 //	cubelsi -data corpus.tsv -update delta.tsv -save model.clsi
 //	                                               # incremental: warm-start rebuild
-//	cubelsi -data corpus.tsv -save model.clsi -workers-addr host1:9090,host2:9090
-//	                                               # distributed build on cubelsiworker fleet
 //
 // -update applies an assignment delta after the initial build through
 // the incremental Index lifecycle: lines of "user\ttag\tresource" are
@@ -30,8 +28,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,37 +41,80 @@ import (
 )
 
 func main() {
-	data := flag.String("data", "", "TSV corpus path (user\\ttag\\tresource)")
-	load := flag.String("load", "", "load a saved model instead of building from -data")
-	save := flag.String("save", "", "save the built model to this path")
-	query := flag.String("query", "", "comma-separated query tags")
-	related := flag.String("related", "", "print tags nearest to this tag")
-	clusters := flag.Bool("clusters", false, "print the distilled concepts")
-	topN := flag.Int("n", 10, "number of results")
-	minScore := flag.Float64("min-score", 0, "drop results scoring below this")
-	concepts := flag.Int("concepts", 0, "concept count (0 = automatic)")
-	ratio := flag.Float64("ratio", 50, "Tucker reduction ratio c1=c2=c3")
-	minSupport := flag.Int("min-support", 5, "cleaning support threshold")
-	seed := flag.Int64("seed", 1, "random seed")
-	progress := flag.Bool("progress", false, "report pipeline stages on stderr")
-	workers := flag.Int("workers", 0, "ALS worker pool bound (0 = all CPUs, 1 = serial; factors are identical at any value)")
-	shards := flag.Int("shards", 0, "partition the tag-row pipeline stages into this many contiguous blocks (0/1 = monolithic; results are identical at any value)")
-	workersAddr := flag.String("workers-addr", "", "comma-separated cubelsiworker endpoints to fan the offline build out to (results are bit-identical to the in-process build)")
-	sketch := flag.Bool("sketch", false, "use the randomized range finder for large-mode SVDs (faster, near-optimal fit)")
-	sketchOversample := flag.Int("sketch-oversample", 0, "extra sketch columns beyond the core dimension (0 = default 8; implies -sketch)")
-	sketchPower := flag.Int("sketch-power", 0, "sketch power-iteration rounds (0 = default 2; implies -sketch)")
-	update := flag.String("update", "", "delta TSV to apply incrementally after the build (lines add, '-\\t'-prefixed lines remove; requires -data)")
-	warmFrom := flag.String("warm-from", "", "previously saved model to warm-start the initial build from (requires -data)")
-	saveUserFactors := flag.Bool("save-user-factors", false, "persist the compacted user-mode factors with -save (codec v5 section; enables personalized WithUser/?user= queries from the saved model)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// buildOnlyFlags are the flags that shape an offline build and so mean
+// nothing next to -load, which serves a model that is already built.
+var buildOnlyFlags = map[string]bool{
+	"data": true, "update": true, "warm-from": true,
+	"ratio": true, "concepts": true, "min-support": true, "seed": true,
+	"workers": true, "sketch": true, "sketch-oversample": true, "sketch-power": true,
+}
+
+// run is main with its arguments, streams and exit code made explicit:
+// 0 on success, 1 when the build, load, save or query fails, 2 on a
+// usage error (unknown flag, conflicting flags, nothing to do).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cubelsi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	data := fs.String("data", "", "TSV corpus path (user\\ttag\\tresource)")
+	load := fs.String("load", "", "load a saved model instead of building from -data")
+	save := fs.String("save", "", "save the built model to this path")
+	query := fs.String("query", "", "comma-separated query tags")
+	related := fs.String("related", "", "print tags nearest to this tag")
+	clusters := fs.Bool("clusters", false, "print the distilled concepts")
+	topN := fs.Int("n", 10, "number of results")
+	minScore := fs.Float64("min-score", 0, "drop results scoring below this")
+	concepts := fs.Int("concepts", 0, "concept count (0 = automatic)")
+	ratio := fs.Float64("ratio", 50, "Tucker reduction ratio c1=c2=c3")
+	minSupport := fs.Int("min-support", 5, "cleaning support threshold")
+	seed := fs.Int64("seed", 1, "random seed")
+	progress := fs.Bool("progress", false, "report pipeline stages on stderr")
+	workers := fs.Int("workers", 0, "ALS worker pool bound (0 = all CPUs, 1 = serial; factors are identical at any value)")
+	sketch := fs.Bool("sketch", false, "use the randomized range finder for large-mode SVDs (faster, near-optimal fit)")
+	sketchOversample := fs.Int("sketch-oversample", 0, "extra sketch columns beyond the core dimension (0 = default 8; implies -sketch)")
+	sketchPower := fs.Int("sketch-power", 0, "sketch power-iteration rounds (0 = default 2; implies -sketch)")
+	update := fs.String("update", "", "delta TSV to apply incrementally after the build (lines add, '-\\t'-prefixed lines remove; requires -data)")
+	warmFrom := fs.String("warm-from", "", "previously saved model to warm-start the initial build from (requires -data)")
+	saveUserFactors := fs.Bool("save-user-factors", false, "persist the compacted user-mode factors with -save (codec v5 section; enables personalized WithUser/?user= queries from the saved model)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cubelsi: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "cubelsi: %v\n", err)
+		return 1
+	}
+
+	if *load != "" {
+		var conflict string
+		fs.Visit(func(f *flag.Flag) {
+			if conflict == "" && buildOnlyFlags[f.Name] {
+				conflict = f.Name
+			}
+		})
+		if conflict != "" {
+			return usage("-%s cannot be combined with -load: it shapes a build, and -load reads a model that is already built", conflict)
+		}
+	}
+	if *saveUserFactors && *save == "" {
+		return usage("-save-user-factors needs -save")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	bf := buildFlags{
 		ratio: *ratio, concepts: *concepts, minSupport: *minSupport,
-		seed: *seed, progress: *progress,
-		workers: *workers, shards: *shards, workersAddr: *workersAddr,
+		seed: *seed, progress: *progress, stderr: stderr,
+		workers: *workers,
 		// Tuning a sketch parameter is asking for the sketch.
 		sketch:           *sketch || *sketchOversample != 0 || *sketchPower != 0,
 		sketchOversample: *sketchOversample, sketchPower: *sketchPower,
@@ -82,25 +125,22 @@ func main() {
 	var err error
 	switch {
 	case *load != "":
-		if *update != "" || *warmFrom != "" {
-			fatal(fmt.Errorf("-update and -warm-from need a corpus; use -data instead of -load"))
-		}
 		eng, err = cubelsi.LoadFile(*load)
 	case *data != "" && *update != "":
 		eng, err = buildAndUpdate(ctx, *data, *update, bf)
 	case *data != "":
 		eng, err = buildEngine(ctx, *data, bf)
 	default:
-		fmt.Fprintln(os.Stderr, "cubelsi: -data or -load is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "cubelsi: -data or -load is required")
+		fs.Usage()
+		return 2
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "engine: %d users, %d tags, %d resources, %d assignments; core %v; %d concepts; fit %.3f\n",
+	fmt.Fprintf(stderr, "engine: %d users, %d tags, %d resources, %d assignments; core %v; %d concepts; fit %.3f\n",
 		st.Users, st.Tags, st.Resources, st.Assignments, st.CoreDims, st.Concepts, st.Fit)
 
 	if *save != "" {
@@ -109,9 +149,9 @@ func main() {
 			saveOpts = append(saveOpts, cubelsi.WithUserFactors())
 		}
 		if err := eng.SaveFile(*save, saveOpts...); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "model saved to %s\n", *save)
+		fmt.Fprintf(stderr, "model saved to %s\n", *save)
 	}
 
 	switch {
@@ -119,26 +159,26 @@ func main() {
 		q := cubelsi.NewQuery(splitTags(*query),
 			cubelsi.WithLimit(*topN), cubelsi.WithMinScore(*minScore))
 		for i, r := range eng.Query(q) {
-			fmt.Printf("%2d. %-30s %.4f\n", i+1, r.Resource, r.Score)
+			fmt.Fprintf(stdout, "%2d. %-30s %.4f\n", i+1, r.Resource, r.Score)
 		}
 	case *related != "":
 		rel, err := eng.RelatedTags(*related, *topN)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for i, r := range rel {
-			fmt.Printf("%2d. %-24s D̂=%.4f\n", i+1, r.Tag, r.Distance)
+			fmt.Fprintf(stdout, "%2d. %-24s D̂=%.4f\n", i+1, r.Tag, r.Distance)
 		}
 	case *clusters:
 		for i, tags := range eng.Clusters() {
-			fmt.Printf("concept %3d: %s\n", i, strings.Join(tags, ", "))
+			fmt.Fprintf(stdout, "concept %3d: %s\n", i, strings.Join(tags, ", "))
 		}
 	default:
 		if *save == "" {
-			fmt.Fprintln(os.Stderr, "cubelsi: nothing to do; pass -query, -related, -clusters or -save")
-			os.Exit(2)
+			return usage("nothing to do; pass -query, -related, -clusters or -save")
 		}
 	}
+	return 0
 }
 
 type buildFlags struct {
@@ -147,9 +187,8 @@ type buildFlags struct {
 	minSupport       int
 	seed             int64
 	progress         bool
+	stderr           io.Writer // stage and update reports go here
 	workers          int
-	shards           int
-	workersAddr      string
 	sketch           bool
 	sketchOversample int
 	sketchPower      int
@@ -170,12 +209,6 @@ func (bf buildFlags) options() ([]cubelsi.BuildOption, error) {
 	if bf.workers != 0 {
 		opts = append(opts, cubelsi.WithTuckerParallelism(bf.workers))
 	}
-	if bf.shards != 0 {
-		opts = append(opts, cubelsi.WithShards(bf.shards))
-	}
-	if bf.workersAddr != "" {
-		opts = append(opts, cubelsi.WithRemoteWorkers(splitTags(bf.workersAddr)...))
-	}
 	if bf.sketch {
 		opts = append(opts, cubelsi.WithSketch(bf.sketchOversample, bf.sketchPower))
 	}
@@ -189,9 +222,9 @@ func (bf buildFlags) options() ([]cubelsi.BuildOption, error) {
 	if bf.progress {
 		opts = append(opts, cubelsi.WithProgress(func(p cubelsi.Progress) {
 			if p.Done {
-				fmt.Fprintf(os.Stderr, "stage %-10s done in %v\n", p.Stage, p.Elapsed)
+				fmt.Fprintf(bf.stderr, "stage %-10s done in %v\n", p.Stage, p.Elapsed)
 			} else {
-				fmt.Fprintf(os.Stderr, "stage %-10s ...\n", p.Stage)
+				fmt.Fprintf(bf.stderr, "stage %-10s ...\n", p.Stage)
 			}
 		}))
 	}
@@ -234,7 +267,7 @@ func buildAndUpdate(ctx context.Context, data, update string, bf buildFlags) (*c
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(bf.stderr,
 		"update: v%d  +%d/-%d assignments  %d sweeps (fit %.3f)  %d new / %d moved / %d re-clustered tags (full=%v)  %.1fms total (decompose %.1fms)\n",
 		rep.Version, rep.AddedAssignments, rep.RemovedAssignments, rep.Sweeps, rep.Fit,
 		rep.NewTags, rep.MovedTags, rep.ReclusteredTags, rep.FullRecluster, rep.TotalMS, rep.DecomposeMS)
@@ -289,9 +322,4 @@ func splitTags(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "cubelsi: %v\n", err)
-	os.Exit(1)
 }

@@ -21,12 +21,9 @@
 //			log.Printf("%s done=%v %v", p.Stage, p.Done, p.Elapsed)
 //		}))
 //
-// Builds scale out in two orthogonal directions: WithTuckerParallelism
-// bounds the ALS worker pool, WithShards partitions the tag-row stages
-// into contiguous row blocks, and WithRemoteWorkers ships those blocks
-// to cubelsiworker processes — none of which changes the output
-// (factors, partitions and rankings are bit-identical at any worker,
-// shard or fleet size).
+// Builds fan out across one bounded in-process worker pool, sized by
+// WithTuckerParallelism, which never changes the output: factors,
+// partitions and rankings are bit-identical at any worker count.
 //
 // # Models
 //

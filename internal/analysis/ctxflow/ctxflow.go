@@ -1,8 +1,8 @@
 // Package ctxflow defines an Analyzer that enforces context threading
 // in the packages that do real work on behalf of a caller.
 //
-// The build pipeline (internal/core, internal/tucker), the fleet
-// planes (internal/distrib, internal/replicate) and the serving-side
+// The build pipeline (internal/core, internal/tucker), the
+// replication plane (internal/replicate) and the serving-side
 // retrieval pipeline (internal/retrieve) are cancellation-safe end to
 // end: a caller that abandons a build or a replica pull must be
 // able to stop the goroutines and I/O spawned for it. That only holds
@@ -12,7 +12,7 @@
 // subtree from cancellation and deadlines.
 //
 // Two checks, scoped by the -pkgs flag (comma-separated import-path
-// suffixes; default covers the five packages above), in non-test
+// suffixes; default covers the four packages above), in non-test
 // files:
 //
 //   - an exported function or method whose body contains a go
@@ -31,8 +31,8 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer enforces context.Context threading in the pipeline and
-// fleet packages.
+// Analyzer enforces context.Context threading in the pipeline,
+// replication and retrieval packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc:  "report exported funcs that do I/O or spawn goroutines without accepting a context.Context, and context.Background/TODO in library code",
@@ -43,7 +43,7 @@ var pkgs string
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"internal/core,internal/tucker,internal/distrib,internal/replicate,internal/retrieve",
+		"internal/core,internal/tucker,internal/replicate,internal/retrieve",
 		"comma-separated import-path suffixes the invariant applies to")
 }
 

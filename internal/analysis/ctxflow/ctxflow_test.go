@@ -18,7 +18,7 @@ func TestPositive(t *testing.T) {
 // threaded through, HTTP handlers reaching the request context, and
 // unexported helpers.
 func TestNegative(t *testing.T) {
-	analysistest.Run(t, ".", ctxflow.Analyzer, "internal/distrib")
+	analysistest.Run(t, ".", ctxflow.Analyzer, "internal/replicate")
 }
 
 // TestRetrieve covers the serving-side retrieval pipeline package added

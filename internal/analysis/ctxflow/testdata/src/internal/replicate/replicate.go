@@ -1,6 +1,6 @@
-// Package distrib (under a targeted import-path suffix) threads
+// Package replicate (under a targeted import-path suffix) threads
 // contexts the way ctxflow demands.
-package distrib
+package replicate
 
 import (
 	"context"

@@ -4,13 +4,13 @@
 // Every CubeLSI service speaks exactly one error shape —
 // {"error": ...} with the right status, emitted by internal/httpx
 // (WriteError, WriteBodyError, and the Mux that keeps even unmatched
-// routes inside the envelope). Clients, the replication plane and the
-// distributed-build workers all parse that shape; one handler that
-// calls http.Error or writes a bare 4xx/5xx status line hands them a
-// text/plain body their decoders choke on.
+// routes inside the envelope). Clients and the replication plane
+// parse that shape; one handler that calls http.Error or writes a bare
+// 4xx/5xx status line hands them a text/plain body their decoders
+// choke on.
 //
-// In the packages named by -pkgs (default the two service binaries,
-// cmd/cubelsiserve and cmd/cubelsiworker), non-test files must not:
+// In the packages named by -pkgs (default the service binary,
+// cmd/cubelsiserve), non-test files must not:
 //
 //   - call net/http.Error — use httpx.WriteError;
 //   - call WriteHeader with a constant status ≥ 400 — an error status
@@ -42,7 +42,7 @@ var pkgs string
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"cmd/cubelsiserve,cmd/cubelsiworker",
+		"cmd/cubelsiserve",
 		"comma-separated import-path suffixes the envelope invariant applies to")
 }
 

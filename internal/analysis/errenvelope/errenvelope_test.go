@@ -14,8 +14,14 @@ func TestPositive(t *testing.T) {
 }
 
 // TestNegative covers what stays legal in a service binary: 2xx/3xx
-// status lines and statuses the handler computes at runtime.
+// status lines and statuses the handler computes at runtime. The
+// fixture's path is not in the default scope, so -pkgs names it.
 func TestNegative(t *testing.T) {
+	pkgs := errenvelope.Analyzer.Flags.Lookup("pkgs")
+	defer pkgs.Value.Set(pkgs.Value.String())
+	if err := pkgs.Value.Set("cmd/cubelsiworker"); err != nil {
+		t.Fatal(err)
+	}
 	analysistest.Run(t, ".", errenvelope.Analyzer, "cmd/cubelsiworker")
 }
 

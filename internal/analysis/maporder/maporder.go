@@ -2,13 +2,12 @@
 // maps whose bodies feed order-sensitive state.
 //
 // The whole offline pipeline promises bit-identical output at any
-// worker, shard or fleet size (golden factor hashes since PR 3,
-// byte-identical model files across the distributed and replicated
-// paths since PR 6/8). Go randomizes map iteration order per run, so a
-// map range that appends to a slice, accumulates floating point, or
-// writes bytes is exactly the bug class those golden tests catch only
-// after the fact — and only on corpora they cover. This analyzer
-// rejects the pattern at vet time.
+// worker count (golden factor hashes since PR 3, byte-identical model
+// files across worker counts and across the replicated fleet). Go
+// randomizes map iteration order per run, so a map range that appends
+// to a slice, accumulates floating point, or writes bytes is exactly
+// the bug class those golden tests catch only after the fact — and only
+// on corpora they cover. This analyzer rejects the pattern at vet time.
 //
 // Flagged inside the body of a `for ... range m` where m is a map, in
 // non-test files:

@@ -39,7 +39,7 @@ func ConceptKMeans(points *mat.Matrix, spectrum []float64, opts SpectralOptions)
 	if k < 1 {
 		k = 1
 	}
-	km := KMeans(points, k, KMeansOptions{Seed: opts.Seed, Shards: opts.Shards, Assigner: opts.Assigner})
+	km := KMeans(points, k, KMeansOptions{Seed: opts.Seed})
 	return &SpectralResult{Assign: km.Assign, K: k, EigenvalueMass: mass}
 }
 

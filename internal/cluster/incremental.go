@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // Centroids computes the k cluster centroids implied by an existing
@@ -55,36 +53,14 @@ func Centroids(points *mat.Matrix, assign []int, k int, skip []bool) (centers *m
 // into assign in place. Rows not listed keep their previous cluster —
 // the incremental counterpart of a full Lloyd assignment sweep.
 func AssignNearest(points, centers *mat.Matrix, rows []int, assign []int) {
-	AssignNearestSharded(points, centers, rows, assign, 1)
-}
-
-// AssignNearestSharded is AssignNearest with the listed rows partitioned
-// by the shard plan over all points: each shard re-assigns the listed
-// rows that fall inside its block as one unit of work (concurrently
-// in-process). Each row's nearest centroid depends only on that row and
-// the centers, and shards write disjoint assign entries, so the result
-// is bit-identical at any shard count. rows must be sorted ascending.
-func AssignNearestSharded(points, centers *mat.Matrix, rows []int, assign []int, shards int) {
 	k := centers.Rows()
-	reassign := func(sub []int) {
-		for _, i := range sub {
-			best, bd := 0, sqDist(points.Row(i), centers.Row(0))
-			for c := 1; c < k; c++ {
-				if d := sqDist(points.Row(i), centers.Row(c)); d < bd {
-					bd, best = d, c
-				}
+	for _, i := range rows {
+		best, bd := 0, sqDist(points.Row(i), centers.Row(0))
+		for c := 1; c < k; c++ {
+			if d := sqDist(points.Row(i), centers.Row(c)); d < bd {
+				bd, best = d, c
 			}
-			assign[i] = best
 		}
+		assign[i] = best
 	}
-	plan := shard.Plan(points.Rows(), shards)
-	if len(plan) <= 1 {
-		reassign(rows)
-		return
-	}
-	shard.ForEach(plan, func(_ int, r shard.Range) {
-		lo := sort.SearchInts(rows, r.Lo)
-		hi := sort.SearchInts(rows, r.Hi)
-		reassign(rows[lo:hi])
-	})
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // KMeansOptions configures KMeans.
@@ -22,52 +21,6 @@ type KMeansOptions struct {
 	Restarts int
 	// Seed makes the clustering deterministic.
 	Seed int64
-	// Shards partitions the Lloyd assignment step — the O(n·k·dim)
-	// dominant cost — into contiguous row blocks scanned as independent
-	// units of work (concurrently in-process; distributable in
-	// principle). The centroid update merges the shard assignments with
-	// a deterministic reduction in global row order, so the clustering
-	// is bit-identical at any shard count. ≤ 1 means one block.
-	Shards int
-	// Assigner, if non-nil, computes each Lloyd assignment block in place
-	// of the in-process scan — the distributed-build hook. An
-	// implementation must return exactly what ScanBlock returns (the
-	// nearest-centroid scan is deterministic, so this is well-defined); a
-	// block whose remote scan fails falls back to the local one, which is
-	// bit-identical, so Assigner errors never change the clustering.
-	Assigner Assigner
-}
-
-// Assigner computes one Lloyd assignment block on behalf of KMeans: the
-// nearest-centroid index and squared distance for rows [lo, hi) of
-// points, block-relative. Implementations must match ScanBlock bit for
-// bit — it is the contract the distributed coordinator honors by running
-// the identical scan remotely.
-type Assigner interface {
-	AssignBlock(points, centers *mat.Matrix, lo, hi int) ([]int, []float64, error)
-}
-
-// ScanBlock is the in-process Lloyd assignment block: for each row in
-// [lo, hi) of points, the index of the nearest center (lowest index wins
-// ties, via the strict < comparison) and the squared distance to it,
-// indexed block-relative. It is both the local unit of work of the
-// sharded assignment step and the reference behavior remote Assigners
-// must reproduce.
-func ScanBlock(points, centers *mat.Matrix, lo, hi int) ([]int, []float64) {
-	k := centers.Rows()
-	idx := make([]int, hi-lo)
-	sq := make([]float64, hi-lo)
-	for i := lo; i < hi; i++ {
-		bi, bd := 0, math.Inf(1)
-		for c := range k {
-			d := sqDist(points.Row(i), centers.Row(c))
-			if d < bd {
-				bd, bi = d, c
-			}
-		}
-		idx[i-lo], sq[i-lo] = bi, bd
-	}
-	return idx, sq
 }
 
 // KMeansResult is a hard assignment of points to k clusters.
@@ -84,7 +37,7 @@ type KMeansResult struct {
 // algorithm with k-means++ seeding. Empty clusters are re-seeded from the
 // point farthest from its center.
 func KMeans(points *mat.Matrix, k int, opts KMeansOptions) *KMeansResult {
-	n, dim := points.Dims()
+	n := points.Rows()
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("cluster: k=%d out of range for %d points", k, n))
 	}
@@ -100,50 +53,38 @@ func KMeans(points *mat.Matrix, k int, opts KMeansOptions) *KMeansResult {
 	var best *KMeansResult
 	for rs := range restarts {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(rs)*7919))
-		res := kmeansOnce(points, k, maxIter, opts.Shards, opts.Assigner, rng)
+		res := kmeansOnce(points, k, maxIter, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
 	}
-	_ = dim
 	return best
 }
 
-func kmeansOnce(points *mat.Matrix, k, maxIter, shards int, asg Assigner, rng *rand.Rand) *KMeansResult {
+func kmeansOnce(points *mat.Matrix, k, maxIter int, rng *rand.Rand) *KMeansResult {
 	n, dim := points.Dims()
 	centers := seedPlusPlus(points, k, rng)
 	assign := make([]int, n)
 	dists := make([]float64, n)
-	plan := shard.Plan(n, shards)
-	blockChanged := make([]bool, len(plan))
 
 	for iter := range maxIter {
-		// Assignment step, one shard block per unit of work. Each row's
-		// nearest centroid depends only on that row and the centers, and
-		// blocks write disjoint assign/dists entries, so the step is
-		// bit-identical at any shard count — with or without a remote
-		// Assigner, whose contract (and local fallback) is ScanBlock.
-		for b := range blockChanged {
-			blockChanged[b] = false
-		}
-		shard.ForEach(plan, func(b int, r shard.Range) {
-			idx, sq := scanBlockWith(asg, points, centers, r.Lo, r.Hi)
-			for i := r.Lo; i < r.Hi; i++ {
-				if assign[i] != idx[i-r.Lo] {
-					assign[i] = idx[i-r.Lo]
-					blockChanged[b] = true
-				}
-				dists[i] = sq[i-r.Lo]
-			}
-		})
+		// Assignment step: each row goes to its nearest center, the
+		// lowest index winning ties through the strict < comparison.
 		changed := false
-		for _, c := range blockChanged {
-			changed = changed || c
+		for i := range n {
+			bi, bd := 0, math.Inf(1)
+			for c := range k {
+				if d := sqDist(points.Row(i), centers.Row(c)); d < bd {
+					bd, bi = d, c
+				}
+			}
+			if assign[i] != bi {
+				assign[i] = bi
+				changed = true
+			}
+			dists[i] = bd
 		}
-		// Update step: merge the shard assignments into centroids with a
-		// deterministic reduction — accumulate in global row order, never
-		// in shard-arrival order, so the floating-point sums (and
-		// therefore the centroids) do not depend on the shard plan.
+		// Update step: accumulate the centroids in row order.
 		counts := make([]int, k)
 		next := mat.New(k, dim)
 		for i := range n {
@@ -178,19 +119,6 @@ func kmeansOnce(points *mat.Matrix, k, maxIter, shards int, asg Assigner, rng *r
 		inertia += sqDist(points.Row(i), centers.Row(assign[i]))
 	}
 	return &KMeansResult{Assign: assign, Centers: centers, Inertia: inertia}
-}
-
-// scanBlockWith runs one assignment block through the configured
-// Assigner, falling back to the bit-identical local scan when none is
-// set, the remote scan fails, or its result has the wrong shape.
-func scanBlockWith(asg Assigner, points, centers *mat.Matrix, lo, hi int) ([]int, []float64) {
-	if asg != nil {
-		idx, sq, err := asg.AssignBlock(points, centers, lo, hi)
-		if err == nil && len(idx) == hi-lo && len(sq) == hi-lo {
-			return idx, sq
-		}
-	}
-	return ScanBlock(points, centers, lo, hi)
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting.

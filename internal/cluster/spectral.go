@@ -37,14 +37,6 @@ type SpectralOptions struct {
 	// reliable but globally heteroscedastic; clustering the neighborhood
 	// graph uses exactly the reliable part.
 	KNN int
-	// Shards partitions the final k-means assignment scans into
-	// contiguous row blocks (see KMeansOptions.Shards). Clustering is
-	// bit-identical at any shard count; ≤ 1 means one block.
-	Shards int
-	// Assigner, if non-nil, is passed through to the final k-means (see
-	// KMeansOptions.Assigner) — the distributed-build hook for the Lloyd
-	// assignment scans.
-	Assigner Assigner
 }
 
 // SpectralResult is the outcome of spectral clustering.
@@ -73,7 +65,7 @@ func Spectral(d *mat.Matrix, opts SpectralOptions) *SpectralResult {
 	if x == nil {
 		return res
 	}
-	km := KMeans(x, res.K, KMeansOptions{Seed: opts.Seed, Shards: opts.Shards, Assigner: opts.Assigner})
+	km := KMeans(x, res.K, KMeansOptions{Seed: opts.Seed})
 	res.Assign = km.Assign
 	return res
 }

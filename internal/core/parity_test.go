@@ -117,11 +117,10 @@ func factorHash(d *tucker.Decomposition) string {
 }
 
 // TestExactPathFactorsBitForBit pins the exact ALS path, at every worker
-// and shard count, to the exact factors the seed implementation
-// produced: the parallel sweep partitions work across goroutines (and
-// the sharded sweep partitions unfolding products into row blocks) but
-// never reorders a floating-point accumulation, so the golden hash must
-// survive the refactor, the workers knob and the shards knob.
+// count, to the exact factors the seed implementation produced: the
+// parallel sweep partitions work across goroutines but never reorders a
+// floating-point accumulation, so the golden hash must survive the
+// refactor and the workers knob.
 func TestExactPathFactorsBitForBit(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The golden bits assume no FMA contraction; other architectures
@@ -130,14 +129,12 @@ func TestExactPathFactorsBitForBit(t *testing.T) {
 	}
 	f := paperDataset().Tensor()
 	for _, workers := range []int{0, 1, 4} {
-		for _, shards := range []int{0, 2, 3} {
-			d := tucker.Decompose(f, tucker.Options{J1: 3, J2: 2, J3: 3, Seed: 1, Workers: workers, Shards: shards})
-			if got := factorHash(d); got != goldenFactorHash {
-				t.Fatalf("workers=%d shards=%d: factor hash %s, want golden %s", workers, shards, got, goldenFactorHash)
-			}
-			if d.Fit != 0.68439980937267975 || d.Sweeps != 2 {
-				t.Fatalf("workers=%d shards=%d: fit=%.17g sweeps=%d diverge from seed behavior", workers, shards, d.Fit, d.Sweeps)
-			}
+		d := tucker.Decompose(f, tucker.Options{J1: 3, J2: 2, J3: 3, Seed: 1, Workers: workers})
+		if got := factorHash(d); got != goldenFactorHash {
+			t.Fatalf("workers=%d: factor hash %s, want golden %s", workers, got, goldenFactorHash)
+		}
+		if d.Fit != 0.68439980937267975 || d.Sweeps != 2 {
+			t.Fatalf("workers=%d: fit=%.17g sweeps=%d diverge from seed behavior", workers, d.Fit, d.Sweeps)
 		}
 	}
 }

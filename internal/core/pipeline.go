@@ -90,20 +90,6 @@ type Progress struct {
 // synchronously from the build goroutine and must not block.
 type ProgressFunc func(Progress)
 
-// RemoteExec fans the block-parallel stages of a build out to remote
-// workers: the projected mode-n unfoldings of the ALS sweep (the Unfold
-// method doubles as tucker.Unfolder), the Theorem 2 embedding
-// projection, and the Lloyd assignment scans of concept clustering.
-// Implementations must be bit-identical to the in-process sharded path —
-// internal/distrib's Coordinator is the production one, and it
-// additionally guarantees that worker failures degrade to local
-// computation rather than failed builds.
-type RemoteExec interface {
-	Unfold(ctx context.Context, f *tensor.Sparse3, mode int, ya, yb *mat.Matrix, workers, shards int) (*mat.Matrix, error)
-	ProjectEmbedding(ctx context.Context, d *tucker.Decomposition, shards int) (*mat.Matrix, error)
-	AssignBlock(ctx context.Context, points, centers *mat.Matrix, lo, hi int) ([]int, []float64, error)
-}
-
 // Options configures the offline pipeline.
 type Options struct {
 	// Tucker carries the core dimensions (or use ratios via
@@ -119,87 +105,8 @@ type Options struct {
 	// Theorem 2, O(|T|·K·k₂) per sweep instead of O(|T|²) + an
 	// eigendecomposition.
 	ExactSpectral bool
-	// Shards partitions the tag-row stages of the pipeline — the mode-n
-	// unfolding products inside the ALS sweep, the Theorem 2 embedding
-	// projection, the k-means assignment scans, and (on Update) the
-	// move-detection scan and re-assignment — into contiguous row blocks,
-	// each processed as one bounded unit of work. Shard results are
-	// merged with deterministic reductions (centroid sums in global row
-	// order, ordered block concatenation), so the exact path is
-	// bit-identical at any shard count — the same contract
-	// tucker.Options.Workers honors. Zero or one means one block.
-	// Unless Tucker.Shards or Spectral.Shards is set explicitly, both
-	// inherit this value.
-	Shards int
 	// Progress, if non-nil, observes each stage's start and finish.
 	Progress ProgressFunc
-	// Remote, if non-nil, executes the sharded block computations on
-	// remote workers (see RemoteExec). The build's output is bit-identical
-	// with or without it.
-	Remote RemoteExec
-}
-
-// applyRemote threads the remote executor into the per-stage options;
-// the Lloyd assignment hook is bound to the build context since
-// cluster.Assigner carries none.
-func applyRemote(ctx context.Context, o Options, t *tucker.Options, s *cluster.SpectralOptions) {
-	if o.Remote == nil {
-		return
-	}
-	t.Unfolder = o.Remote
-	s.Assigner = boundAssigner{ctx: ctx, remote: o.Remote}
-}
-
-// boundAssigner adapts RemoteExec's context-taking AssignBlock to
-// cluster.Assigner.
-type boundAssigner struct {
-	ctx    context.Context
-	remote RemoteExec
-}
-
-func (b boundAssigner) AssignBlock(points, centers *mat.Matrix, lo, hi int) ([]int, []float64, error) {
-	return b.remote.AssignBlock(b.ctx, points, centers, lo, hi)
-}
-
-// buildEmbedding computes the Theorem 2 embedding, remotely when a
-// RemoteExec is configured and in-process otherwise. A remote failure
-// short of cancellation falls back to the bit-identical local
-// projection.
-func buildEmbedding(ctx context.Context, remote RemoteExec, d *tucker.Decomposition, shards int) (*embed.TagEmbedding, error) {
-	if remote != nil {
-		m, err := remote.ProjectEmbedding(ctx, d, shards)
-		if err == nil && m != nil {
-			wr, wc := d.Y2.Dims()
-			if r, c := m.Dims(); r == wr && c == wc {
-				return embed.FromMatrix(m), nil
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return embed.FromDecompositionSharded(d, shards), nil
-}
-
-// shardedOptions returns copies of the Tucker and Spectral options with
-// the pipeline-level shard count inherited where the sub-option left it
-// unset, plus the effective pipeline shard count.
-func (o Options) shardedOptions() (tucker.Options, cluster.SpectralOptions) {
-	t, s := o.Tucker, o.Spectral
-	ps := o.Shards
-	if ps < 0 {
-		// Negative pipeline-level counts degrade to monolithic, like
-		// every shard.Plan consumer; only tucker.Options.Shards set
-		// directly rejects them.
-		ps = 0
-	}
-	if t.Shards == 0 {
-		t.Shards = ps
-	}
-	if s.Shards == 0 {
-		s.Shards = ps
-	}
-	return t, s
 }
 
 // Timings records wall-clock durations of the offline stages.
@@ -281,8 +188,6 @@ func (p *Pipeline) DistanceMatrix() *mat.Matrix {
 func Build(ctx context.Context, ds *tagging.Dataset, opts Options) (*Pipeline, error) {
 	p := &Pipeline{DS: ds}
 	run := stageRunner(ctx, opts.Progress, &p.Times)
-	tOpts, sOpts := opts.shardedOptions()
-	applyRemote(ctx, opts, &tOpts, &sOpts)
 
 	if err := run(StageTensor, func() error {
 		p.Tensor = ds.Tensor()
@@ -292,7 +197,7 @@ func Build(ctx context.Context, ds *tagging.Dataset, opts Options) (*Pipeline, e
 	}
 
 	if err := run(StageDecompose, func() error {
-		d, err := tucker.DecomposeContext(ctx, p.Tensor, tOpts)
+		d, err := tucker.DecomposeContext(ctx, p.Tensor, opts.Tucker)
 		if err != nil {
 			return err
 		}
@@ -303,11 +208,7 @@ func Build(ctx context.Context, ds *tagging.Dataset, opts Options) (*Pipeline, e
 	}
 
 	if err := run(StageEmbed, func() error {
-		emb, err := buildEmbedding(ctx, opts.Remote, p.Decomposition, opts.Shards)
-		if err != nil {
-			return err
-		}
-		p.Embedding = emb
+		p.Embedding = embed.FromDecomposition(p.Decomposition)
 		if opts.ExactSpectral {
 			// The Theorem 1/2 structures (Σ = S₍₂₎S₍₂₎ᵀ) are only needed
 			// to materialize D̂; the embedding path never pays for them.
@@ -326,9 +227,9 @@ func Build(ctx context.Context, ds *tagging.Dataset, opts Options) (*Pipeline, e
 	if err := run(StageCluster, func() error {
 		var res *cluster.SpectralResult
 		if opts.ExactSpectral {
-			res = cluster.Spectral(p.Distances, sOpts)
+			res = cluster.Spectral(p.Distances, opts.Spectral)
 		} else {
-			res = cluster.ConceptKMeans(p.Embedding.Matrix(), p.Decomposition.Lambda[1], sOpts)
+			res = cluster.ConceptKMeans(p.Embedding.Matrix(), p.Decomposition.Lambda[1], opts.Spectral)
 		}
 		p.Assign = res.Assign
 		p.K = res.K

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/embed"
 	"repro/internal/mat"
-	"repro/internal/shard"
 	"repro/internal/tagging"
 	"repro/internal/tucker"
 )
@@ -98,8 +97,7 @@ func Update(ctx context.Context, ds *tagging.Dataset, prev *PrevState, opts Opti
 	p := &Pipeline{DS: ds}
 	st := &UpdateStats{}
 	run := stageRunner(ctx, opts.Progress, &p.Times)
-	tOpts, sOpts := opts.shardedOptions()
-	applyRemote(ctx, opts, &tOpts, &sOpts)
+	tOpts := opts.Tucker
 
 	if err := run(StageTensor, func() error {
 		p.Tensor = ds.Tensor()
@@ -136,11 +134,7 @@ func Update(ctx context.Context, ds *tagging.Dataset, prev *PrevState, opts Opti
 	var moved []int
 	var prevOf []int // new tag id → previous tag id, -1 when unseen
 	if err := run(StageEmbed, func() error {
-		emb, err := buildEmbedding(ctx, opts.Remote, p.Decomposition, opts.Shards)
-		if err != nil {
-			return err
-		}
-		p.Embedding = emb
+		p.Embedding = embed.FromDecomposition(p.Decomposition)
 		thr := uopts.moveThreshold()
 		n := p.Embedding.NumTags()
 
@@ -162,31 +156,18 @@ func Update(ctx context.Context, ds *tagging.Dataset, prev *PrevState, opts Opti
 		}
 		aligned := p.Embedding.AlignTo(prev.Embedding, pairs)
 
-		// Move detection is a per-row predicate, so it shards like the
-		// projection: each block scans its rows independently, and the
-		// moved list is collected afterwards in global row order — the
-		// deterministic reduction that keeps the list (and everything
-		// downstream) independent of the shard plan.
-		movedFlag := make([]bool, n)
-		shard.ForEach(shard.Plan(n, opts.Shards), func(_ int, r shard.Range) {
-			for i := r.Lo; i < r.Hi; i++ {
-				if prevOf[i] < 0 {
-					movedFlag[i] = true
-					continue
-				}
-				d := embed.CrossDist(aligned, i, prev.Embedding, prevOf[i])
-				scale := prev.Embedding.RowNorm(prevOf[i])
-				if scale < 1e-12 {
-					scale = 1e-12
-				}
-				movedFlag[i] = thr < 0 || d > thr*scale
-			}
-		})
 		for i := range n {
 			if prevOf[i] < 0 {
 				st.NewTags++
+				moved = append(moved, i)
+				continue
 			}
-			if movedFlag[i] {
+			d := embed.CrossDist(aligned, i, prev.Embedding, prevOf[i])
+			scale := prev.Embedding.RowNorm(prevOf[i])
+			if scale < 1e-12 {
+				scale = 1e-12
+			}
+			if thr < 0 || d > thr*scale {
 				moved = append(moved, i)
 			}
 		}
@@ -198,7 +179,7 @@ func Update(ctx context.Context, ds *tagging.Dataset, prev *PrevState, opts Opti
 
 	if err := run(StageCluster, func() error {
 		n := p.Embedding.NumTags()
-		k := sOpts.K
+		k := opts.Spectral.K
 		if k <= 0 {
 			// Auto-K stays pinned to the previous concept count: concept
 			// ids are serving-visible, so an update never re-numbers them
@@ -229,21 +210,17 @@ func Update(ctx context.Context, ds *tagging.Dataset, prev *PrevState, opts Opti
 			assign[i] = c
 		}
 		if !full && len(moved) > 0 {
-			// Centroids already reduces in global row order — the same
-			// deterministic merge a sharded scan reports its partial
-			// assignments into — and the moved rows are re-assigned one
-			// shard block at a time.
 			centers, ok := cluster.Centroids(p.Embedding.Matrix(), assign, k, unknown)
 			if !ok {
 				// A concept lost every member; its centroid is meaningless,
 				// so re-cluster from scratch.
 				full = true
 			} else {
-				cluster.AssignNearestSharded(p.Embedding.Matrix(), centers, moved, assign, opts.Shards)
+				cluster.AssignNearest(p.Embedding.Matrix(), centers, moved, assign)
 			}
 		}
 		if full {
-			res := cluster.ConceptKMeans(p.Embedding.Matrix(), p.Decomposition.Lambda[1], sOpts)
+			res := cluster.ConceptKMeans(p.Embedding.Matrix(), p.Decomposition.Lambda[1], opts.Spectral)
 			p.Assign, p.K = res.Assign, res.K
 			st.FullRecluster = true
 			st.ReclusteredTags = n

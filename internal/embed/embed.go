@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/shard"
 	"repro/internal/topk"
 	"repro/internal/tucker"
 )
@@ -36,59 +35,16 @@ type TagEmbedding struct {
 // Theorem 2 diagonal quadratic form, which sums only over the available
 // singular values.
 func FromDecomposition(d *tucker.Decomposition) *TagEmbedding {
-	return FromDecompositionSharded(d, 1)
-}
-
-// FromDecompositionSharded is FromDecomposition with the row projection
-// partitioned into shards contiguous blocks, each projected as one unit
-// of work (concurrently when there is more than one). Each row depends
-// only on its own Y⁽²⁾ row and Λ₂, and blocks write disjoint rows, so
-// the embedding is bit-identical at any shard count.
-func FromDecompositionSharded(d *tucker.Decomposition, shards int) *TagEmbedding {
 	rows, cols := d.Y2.Dims()
+	lambda := d.Lambda[1]
 	e := mat.New(rows, cols)
-	shard.ForEach(shard.Plan(rows, shards), func(_ int, r shard.Range) {
-		ProjectRows(d, e, r.Lo, r.Hi)
-	})
-	return &TagEmbedding{m: e}
-}
-
-// ProjectRows writes rows [lo, hi) of the Theorem 2 embedding
-// E = Λ₂·Y⁽²⁾ into the matching rows of dst — the per-shard unit of the
-// embedding projection. dst must have the decomposition's Y⁽²⁾ shape.
-func ProjectRows(d *tucker.Decomposition, dst *mat.Matrix, lo, hi int) {
-	projectInto(d.Y2, d.Lambda[1], dst, 0, lo, hi)
-}
-
-// ProjectRowsBlock returns rows [lo, hi) of E = Λ₂·Y⁽²⁾ as a standalone
-// (hi−lo)×k₂ block — the worker-side unit of the distributed embedding
-// projection. It takes the raw mode-2 factor and singular values so a
-// worker reconstructs nothing but the two payloads it was sent; stitching
-// the blocks of any partition reproduces FromDecomposition bit for bit
-// (each row depends only on its own Y⁽²⁾ row and Λ₂).
-func ProjectRowsBlock(y2 *mat.Matrix, lambda []float64, lo, hi int) *mat.Matrix {
-	n := y2.Rows()
-	if lo < 0 || hi < lo || hi > n {
-		panic(fmt.Sprintf("embed: block [%d,%d) out of range [0,%d)", lo, hi, n))
-	}
-	out := mat.New(hi-lo, y2.Cols())
-	projectInto(y2, lambda, out, -lo, lo, hi)
-	return out
-}
-
-// projectInto scales rows [lo, hi) of y2 by lambda into dst rows
-// [lo+shift, hi+shift); columns beyond len(lambda) are zero.
-func projectInto(y2 *mat.Matrix, lambda []float64, dst *mat.Matrix, shift, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		src, out := y2.Row(i), dst.Row(i+shift)
-		for j := range out {
-			if j < len(lambda) {
-				out[j] = lambda[j] * src[j]
-			} else {
-				out[j] = 0
-			}
+	for i := range rows {
+		src, out := d.Y2.Row(i), e.Row(i)
+		for j := range min(cols, len(lambda)) {
+			out[j] = lambda[j] * src[j]
 		}
 	}
+	return &TagEmbedding{m: e}
 }
 
 // FromMatrix wraps an already-scaled embedding matrix (rows = tags)
@@ -371,70 +327,6 @@ func (e *TagEmbedding) scanNearestSq(i, k, lo, hi int) []Neighbor {
 	return h.Items()
 }
 
-// BlockNeighbors is the result of one shard-bounded candidate scan: up
-// to k block-local best neighbors whose Dist fields hold SQUARED
-// distances, the exact currency the selection orders by. Keeping the
-// squares until the final MergeNeighbors reduction matters for the
-// bit-identity contract: sqrt maps distinct squared distances onto
-// equal float64s often enough that a per-block sqrt could flip a
-// (distance, id) tie-break at the k-th slot.
-type BlockNeighbors []Neighbor
-
-// NearestKBlock is the shard-bounded counterpart of NearestK: the k tags
-// closest to tag i among the candidate rows [lo, hi) only (excluding i),
-// nearest first with ties broken by lower tag id. k ≤ 0 or k ≥ the
-// block's candidate count returns every candidate in the block. It is
-// the unit of work for sharded consumers, which scan each shard's block
-// independently and reduce with MergeNeighbors — the merged result is
-// identical to NearestK over the whole vocabulary. The returned Dist
-// values are squared (see BlockNeighbors); MergeNeighbors converts to
-// distances at the end, exactly as NearestK does.
-func (e *TagEmbedding) NearestKBlock(i, k, lo, hi int) BlockNeighbors {
-	n := e.NumTags()
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("embed: tag %d out of range [0,%d)", i, n))
-	}
-	if lo < 0 || hi < lo || hi > n {
-		panic(fmt.Sprintf("embed: block [%d,%d) out of range [0,%d)", lo, hi, n))
-	}
-	candidates := hi - lo
-	if i >= lo && i < hi {
-		candidates--
-	}
-	if candidates <= 0 {
-		return nil
-	}
-	if k <= 0 || k > candidates {
-		k = candidates
-	}
-	all := e.scanNearestSq(i, k, lo, hi)
-	sortNeighbors(all)
-	return all
-}
-
-// MergeNeighbors is the deterministic reduction of per-shard
-// NearestKBlock results: the k best neighbors across the lists, nearest
-// first under the strict (squared distance, tag id) order, with Dist
-// converted to the purified distance D̂ only after the final truncation
-// — the same select-on-squares-then-sqrt order NearestK uses, so the
-// merge is bit-identical to it. k ≤ 0 keeps every candidate. Lists must
-// cover disjoint candidate blocks (as shard plans do); the merged top-k
-// then equals the top-k of one scan over the union.
-func MergeNeighbors(k int, lists ...BlockNeighbors) []Neighbor {
-	var all []Neighbor
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sortNeighbors(all)
-	if k > 0 && len(all) > k {
-		all = all[:k]
-	}
-	for idx := range all {
-		all[idx].Dist = math.Sqrt(all[idx].Dist)
-	}
-	return all
-}
-
 // sortNeighbors orders a candidate list nearest first, ties broken by
 // lower tag id — the strict total order every top-k selection here uses.
 func sortNeighbors(all []Neighbor) {
@@ -457,7 +349,7 @@ func worseNeighbor(a, b Neighbor) bool {
 }
 
 // PairwiseBlock materializes rows [lo, hi) of the distance matrix D̂ as
-// an (hi−lo)×|T| block — the unit of work for out-of-core or sharded
+// an (hi−lo)×|T| block — the unit of work for out-of-core
 // consumers that stream D̂ without ever holding all of it.
 func (e *TagEmbedding) PairwiseBlock(lo, hi int) *mat.Matrix {
 	n := e.NumTags()

@@ -5,9 +5,8 @@
 // 404 for unknown paths and JSON 405 with an Allow header when the path
 // exists under another method — instead of the mux's plain-text bodies.
 //
-// cmd/cubelsiserve (the query/serving API) and cmd/cubelsiworker (the
-// distributed-build worker) both dispatch through it, so clients of
-// either service parse exactly one error shape.
+// cmd/cubelsiserve (the query/serving API) dispatches through it, so
+// its clients parse exactly one error shape.
 package httpx
 
 import (

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // ProjectedUnfold computes, directly from the sparse coordinate data, the
@@ -33,113 +32,61 @@ func ProjectedUnfold(f *Sparse3, mode int, ya, yb *mat.Matrix) *mat.Matrix {
 // worker in the same entry order as the serial loop, so the unfolding is
 // bit-identical for every worker count.
 func ProjectedUnfoldWorkers(f *Sparse3, mode int, ya, yb *mat.Matrix, workers int) *mat.Matrix {
-	return ProjectedUnfoldSharded(f, mode, ya, yb, workers, 1)
-}
-
-// ProjectedUnfoldSharded is ProjectedUnfoldWorkers with the output rows
-// additionally partitioned into shards contiguous blocks, processed one
-// block at a time (each block fanned across the worker pool). A block is
-// the bounded unit of work a sharded or multi-machine sweep computes
-// independently — see ProjectedUnfoldBlock for the standalone form. Rows
-// are accumulated exactly as in the monolithic product, so the unfolding
-// is bit-identical for every (workers, shards) combination.
-func ProjectedUnfoldSharded(f *Sparse3, mode int, ya, yb *mat.Matrix, workers, shards int) *mat.Matrix {
-	u := prepUnfold(f, mode, ya, yb)
-	w := mat.New(u.rows, u.cols)
-	for _, r := range shard.Plan(u.rows, shards) {
-		u.accumulate(w, 0, r.Lo, r.Hi, workers)
-	}
-	return w
-}
-
-// ProjectedUnfoldBlock computes only rows [lo, hi) of the projected
-// mode-n unfolding, as an (hi−lo)×(Ja·Jb) block — the distributable unit
-// of the sharded sweep. Stitching the blocks of any shard plan together
-// reproduces ProjectedUnfold bit for bit.
-func ProjectedUnfoldBlock(f *Sparse3, mode int, ya, yb *mat.Matrix, lo, hi, workers int) *mat.Matrix {
-	u := prepUnfold(f, mode, ya, yb)
-	if lo < 0 || hi < lo || hi > u.rows {
-		panic(fmt.Sprintf("tensor: block [%d,%d) out of range [0,%d)", lo, hi, u.rows))
-	}
-	w := mat.New(hi-lo, u.cols)
-	u.accumulate(w, -lo, lo, hi, workers)
-	return w
-}
-
-// unfoldJob carries the row bucketing of one projected-unfold call: the
-// deterministic counting sort of entries by output row that lets any
-// row range be accumulated independently, in serial entry order.
-type unfoldJob struct {
-	entries    []Entry
-	rowOf      func(Entry) (row, ia, ib int)
-	ya, yb     *mat.Matrix
-	rows, cols int
-	starts     []int
-	order      []int
-}
-
-func prepUnfold(f *Sparse3, mode int, ya, yb *mat.Matrix) *unfoldJob {
 	i1, i2, i3 := f.Dims()
-	u := &unfoldJob{ya: ya, yb: yb}
+	var rows int
+	var rowOf func(Entry) (row, ia, ib int)
 	switch mode {
 	case 1:
 		checkFactor("mode-1 projection", ya, i2)
 		checkFactor("mode-1 projection", yb, i3)
-		u.rows = i1
-		u.rowOf = func(e Entry) (int, int, int) { return e.I, e.J, e.K }
+		rows = i1
+		rowOf = func(e Entry) (int, int, int) { return e.I, e.J, e.K }
 	case 2:
 		checkFactor("mode-2 projection", ya, i1)
 		checkFactor("mode-2 projection", yb, i3)
-		u.rows = i2
-		u.rowOf = func(e Entry) (int, int, int) { return e.J, e.I, e.K }
+		rows = i2
+		rowOf = func(e Entry) (int, int, int) { return e.J, e.I, e.K }
 	case 3:
 		checkFactor("mode-3 projection", ya, i1)
 		checkFactor("mode-3 projection", yb, i2)
-		u.rows = i3
-		u.rowOf = func(e Entry) (int, int, int) { return e.K, e.I, e.J }
+		rows = i3
+		rowOf = func(e Entry) (int, int, int) { return e.K, e.I, e.J }
 	default:
 		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
 	}
-	u.entries = f.Entries()
-	u.cols = ya.Cols() * yb.Cols()
+	entries := f.Entries()
+	cols := ya.Cols() * yb.Cols()
 
 	// Bucket entries by output row (counting sort) so workers own
 	// disjoint row ranges and accumulate without synchronization.
-	u.starts = make([]int, u.rows+1)
-	for _, e := range u.entries {
-		r, _, _ := u.rowOf(e)
-		u.starts[r+1]++
+	starts := make([]int, rows+1)
+	for _, e := range entries {
+		r, _, _ := rowOf(e)
+		starts[r+1]++
 	}
-	for r := 0; r < u.rows; r++ {
-		u.starts[r+1] += u.starts[r]
+	for r := 0; r < rows; r++ {
+		starts[r+1] += starts[r]
 	}
-	u.order = make([]int, len(u.entries))
-	fill := append([]int(nil), u.starts[:u.rows]...)
-	for idx, e := range u.entries {
-		r, _, _ := u.rowOf(e)
-		u.order[fill[r]] = idx
+	order := make([]int, len(entries))
+	fill := append([]int(nil), starts[:rows]...)
+	for idx, e := range entries {
+		r, _, _ := rowOf(e)
+		order[fill[r]] = idx
 		fill[r]++
 	}
-	return u
-}
 
-// accumulate adds unfolding rows [lo, hi) into w, writing row r to w's
-// row r+shift (shift 0 accumulates in place; shift −lo fills a
-// standalone block), fanning the rows across the worker pool. Each
-// output row is accumulated by exactly one goroutine in serial entry
-// order.
-func (u *unfoldJob) accumulate(w *mat.Matrix, shift, lo, hi, workers int) {
-	cost := (u.starts[hi] - u.starts[lo]) * u.cols
-	parallelRows(hi-lo, cost, workers, func(blo, bhi int) {
-		for r := lo + blo; r < lo+bhi; r++ {
-			dst := w.Row(r + shift)
-			for _, idx := range u.order[u.starts[r]:u.starts[r+1]] {
-				e := u.entries[idx]
-				_, ia, ib := u.rowOf(e)
-				accumOuter(dst, e.V, u.ya.Row(ia), u.yb.Row(ib))
+	w := mat.New(rows, cols)
+	parallelRows(rows, len(entries)*cols, workers, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			dst := w.Row(r)
+			for _, idx := range order[starts[r]:starts[r+1]] {
+				e := entries[idx]
+				_, ia, ib := rowOf(e)
+				accumOuter(dst, e.V, ya.Row(ia), yb.Row(ib))
 			}
 		}
 	})
+	return w
 }
 
 // parallelRows splits [0, n) across a bounded worker pool when cost (an

@@ -31,16 +31,6 @@ import (
 // returns errors wrapping it; Decompose panics with them.
 var ErrInvalidOptions = errors.New("tucker: invalid options")
 
-// Unfolder computes projected mode-n unfoldings on behalf of the ALS
-// sweep — the hook a distributed build uses to fan the dominant cost of
-// each sweep out to remote workers. An implementation must return
-// exactly what tensor.ProjectedUnfoldSharded(f, mode, ya, yb, workers,
-// shards) returns, bit for bit: the sweep's factors (and the golden-hash
-// parity contract) depend on it. An error aborts the decomposition.
-type Unfolder interface {
-	Unfold(ctx context.Context, f *tensor.Sparse3, mode int, ya, yb *mat.Matrix, workers, shards int) (*mat.Matrix, error)
-}
-
 // SketchOptions configures the randomized range-finder path of the ALS
 // sweep. When enabled, the leading-left SVD of each sufficiently wide
 // projected unfolding is replaced by a sketched one (Halko–Martinsson–
@@ -109,13 +99,6 @@ type Options struct {
 	// runs the sweep serially. Factors are bit-identical for every
 	// worker count.
 	Workers int
-	// Shards additionally partitions each mode-n unfolding product into
-	// contiguous row blocks processed one block at a time — the bounded
-	// unit of work of sharded offline builds (tensor.ProjectedUnfoldBlock
-	// is the standalone form a multi-machine sweep would distribute).
-	// Factors are bit-identical for every shard count. Zero or one means
-	// one block; negative is invalid.
-	Shards int
 	// Sketch switches large-mode leading-left SVDs to the randomized
 	// range finder. The zero value keeps the exact path.
 	Sketch SketchOptions
@@ -126,11 +109,6 @@ type Options struct {
 	// matrices instead of the HOSVD initialization (see WarmStart). Nil
 	// keeps the cold-start path bit-identical to previous releases.
 	WarmStart *WarmStart
-	// Unfolder, if non-nil, computes the sweep's projected unfoldings in
-	// place of tensor.ProjectedUnfoldSharded — the distributed-build hook.
-	// Implementations must be bit-identical to the local computation (see
-	// Unfolder). Nil keeps everything in-process.
-	Unfolder Unfolder
 }
 
 // FromRatios returns core dimensions Jₙ = max(1, round(Iₙ/cₙ)) for a
@@ -201,9 +179,6 @@ func validateOptions(opts Options) error {
 	}
 	if opts.MaxSweeps < 0 {
 		return fmt.Errorf("%w: MaxSweeps must be non-negative, got %d", ErrInvalidOptions, opts.MaxSweeps)
-	}
-	if opts.Shards < 0 {
-		return fmt.Errorf("%w: Shards must be non-negative, got %d", ErrInvalidOptions, opts.Shards)
 	}
 	if opts.Sketch.Oversample < 0 {
 		return fmt.Errorf("%w: Sketch.Oversample must be non-negative, got %d", ErrInvalidOptions, opts.Sketch.Oversample)
@@ -282,30 +257,21 @@ func DecomposeContext(ctx context.Context, f *tensor.Sparse3, opts Options) (*De
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w1, err := unfold(ctx, f, 1, y2, y3, opts)
-		if err != nil {
-			return nil, err
-		}
+		w1 := tensor.ProjectedUnfoldWorkers(f, 1, y2, y3, opts.Workers)
 		svd1 := leadingLeft(w1, j1, sub, opts.Sketch, sketchSeed(opts.Seed, 1, s))
 		y1, lambda[0] = svd1.U, svd1.S
 		// Mode 2.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w2, err := unfold(ctx, f, 2, y1, y3, opts)
-		if err != nil {
-			return nil, err
-		}
+		w2 := tensor.ProjectedUnfoldWorkers(f, 2, y1, y3, opts.Workers)
 		svd2 := leadingLeft(w2, j2, sub, opts.Sketch, sketchSeed(opts.Seed, 2, s))
 		y2, lambda[1] = svd2.U, svd2.S
 		// Mode 3.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w3, err := unfold(ctx, f, 3, y1, y2, opts)
-		if err != nil {
-			return nil, err
-		}
+		w3 := tensor.ProjectedUnfoldWorkers(f, 3, y1, y2, opts.Workers)
 		svd3 := leadingLeft(w3, j3, sub, opts.Sketch, sketchSeed(opts.Seed, 3, s))
 		y3, lambda[2] = svd3.U, svd3.S
 
@@ -370,15 +336,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// unfold computes one projected mode-n unfolding, through the
-// distributed hook when one is configured and locally otherwise.
-func unfold(ctx context.Context, f *tensor.Sparse3, mode int, ya, yb *mat.Matrix, opts Options) (*mat.Matrix, error) {
-	if opts.Unfolder != nil {
-		return opts.Unfolder.Unfold(ctx, f, mode, ya, yb, opts.Workers, opts.Shards)
-	}
-	return tensor.ProjectedUnfoldSharded(f, mode, ya, yb, opts.Workers, opts.Shards), nil
 }
 
 // sketchSeed derives a per-(mode, sweep) seed for the randomized range
