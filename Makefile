@@ -3,7 +3,13 @@ GO ?= go
 # Preset for the tracked offline benchmark; CI smoke-tests with tiny.
 BENCH_PRESET ?= lastfm
 
-.PHONY: build test bench bench-smoke bench-check vet vet-custom check fmt fuzz lint e2e-replicate
+# The tracked microbenchmarks: `make bench` measures them, `make
+# bench-once` (part of `make check` and the CI test job) runs each for a
+# single iteration so none can stop compiling or start failing unseen.
+BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|EngineBuild|EngineSearch
+BENCH_PKGS = ./internal/embed/ ./internal/ir/ ./internal/retrieve/ .
+
+.PHONY: build test bench bench-once bench-smoke bench-check vet vet-custom check fmt fuzz lint e2e-replicate
 
 build:
 	$(GO) build ./...
@@ -21,8 +27,12 @@ vet-custom:
 	$(GO) vet -vettool=$(abspath bin/cubelsivet) ./...
 
 # check is the full local gate: formatting idiom, both vet suites,
-# lint, the race-enabled tests, and the benchmark module.
-check: vet-custom lint test bench-check
+# lint, the race-enabled tests, one iteration of every tracked
+# microbenchmark, and the benchmark module.
+check: vet-custom lint test bench-once bench-check
+
+bench-once:
+	$(GO) test -run='^$$' -bench='$(BENCH_REGEX)' -benchtime=1x $(BENCH_PKGS)
 
 # bench-check vets, tests and smoke-runs the nested benchmark module
 # (bench/, which `go build ./... && go test ./...` never compiles), so a
@@ -49,7 +59,7 @@ test: vet
 # trajectory (build time, model size v1 vs v2, query latency) in
 # BENCH_offline.json so perf is tracked across PRs.
 bench:
-	$(GO) test -run='^$$' -bench='NearestK|Pairwise1k|QueryTop10|QueryFullSort|EngineBuild|EngineSearch' -benchmem ./internal/embed/ ./internal/ir/ .
+	$(GO) test -run='^$$' -bench='$(BENCH_REGEX)' -benchmem $(BENCH_PKGS)
 	$(GO) run ./cmd/benchoffline -preset $(BENCH_PRESET) -out BENCH_offline.json
 
 # bench-smoke is the CI-sized version: tiny preset, same artifact. The

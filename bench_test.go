@@ -190,20 +190,7 @@ func BenchmarkFigure5_DecompositionAtRatio(b *testing.B) {
 // BenchmarkEngineBuild measures the public API's end-to-end offline build
 // (the quickstart path).
 func BenchmarkEngineBuild(b *testing.B) {
-	corpus := datagen.Generate(datagen.Tiny())
-	var assignments []Assignment
-	for _, a := range corpus.Clean.Assignments() {
-		assignments = append(assignments, Assignment{
-			User:     corpus.Clean.Users.Name(a.User),
-			Tag:      corpus.Clean.Tags.Name(a.Tag),
-			Resource: corpus.Clean.Resources.Name(a.Resource),
-		})
-	}
-	cfg := DefaultConfig()
-	cfg.ReductionRatios = [3]float64{4, 1.5, 4}
-	cfg.Concepts = corpus.Params.NumConcepts()
-	cfg.MinSupport = 2
-	cfg.Seed = 7
+	assignments, cfg := tinyCorpus()
 	b.ResetTimer()
 	for range b.N {
 		if _, err := New(assignments, cfg); err != nil {
@@ -214,28 +201,24 @@ func BenchmarkEngineBuild(b *testing.B) {
 
 // BenchmarkEngineSearch measures a single public-API query.
 func BenchmarkEngineSearch(b *testing.B) {
-	corpus := datagen.Generate(datagen.Tiny())
-	var assignments []Assignment
-	for _, a := range corpus.Clean.Assignments() {
-		assignments = append(assignments, Assignment{
-			User:     corpus.Clean.Users.Name(a.User),
-			Tag:      corpus.Clean.Tags.Name(a.Tag),
-			Resource: corpus.Clean.Resources.Name(a.Resource),
-		})
-	}
-	cfg := DefaultConfig()
-	cfg.ReductionRatios = [3]float64{4, 1.5, 4}
-	cfg.Concepts = corpus.Params.NumConcepts()
-	cfg.MinSupport = 2
-	cfg.Seed = 7
-	eng, err := New(assignments, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := tinyEngine(b)
 	tags := eng.Tags()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
 		eng.Search([]string{tags[i%len(tags)]}, 10)
+	}
+}
+
+// BenchmarkEngineSearchUser is BenchmarkEngineSearch personalised: the
+// same scan with one affinity dot product per matched resource.
+func BenchmarkEngineSearchUser(b *testing.B) {
+	eng := tinyEngine(b)
+	tags := eng.Tags()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		eng.Query(NewQuery([]string{tags[i%len(tags)]}, WithLimit(10), WithUser(eng.users[i%len(eng.users)])))
 	}
 }
 

@@ -109,8 +109,8 @@ func benchRerankScale(params datagen.Params) rerankScale {
 		Queries:   len(weights),
 	}
 
-	// Ground truth and latency baseline: the exact pipeline at full depth
-	// — bit-identical to the monolithic query path.
+	// Ground truth and latency baseline: the default pipeline, the exact
+	// source at full depth.
 	fmt.Fprintf(os.Stderr, "benchoffline: rerank benchmark, exact baseline (|T|=%d, |R|=%d)\n", n, sc.Resources)
 	exact := retrieve.Default()
 	relevant := make([]map[int]bool, len(weights))

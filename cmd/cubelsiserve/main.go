@@ -16,9 +16,9 @@
 // -mmap memory-maps the model file instead of decoding it onto the heap
 // (a v4/v5 model opens in milliseconds at any size); -ann serves
 // /related through the IVF approximate index over the model's concept
-// centroids; -retrieve/-rerank serve /search through the explicit
-// two-stage retrieval pipeline (candidate generation, then exact rerank
-// of the top C). All stick across /reload.
+// centroids; -retrieve/-rerank pick /search's candidate source and the
+// depth C of candidates it keeps for ranking (default: the exact scan
+// over the whole corpus). All stick across /reload.
 //
 // Corpus-backed servers also accept a streaming delta log on POST
 // /stream (NDJSON assignment records, micro-batched under the
@@ -71,8 +71,8 @@ func main() {
 	ann := flag.Bool("ann", false, "serve /related through the IVF ANN index instead of the exact scan (model-backed servers)")
 	annNprobe := flag.Int("ann-nprobe", 0, "inverted lists probed per ANN query (0 = √lists; /related?nprobe= overrides per request)")
 	annRerank := flag.Int("ann-rerank", 0, "candidate depth kept before the exact rerank (0 = result size)")
-	retrieveSrc := flag.String("retrieve", "", "serve /search through the two-stage retrieval pipeline with this candidate source (\"exact\" or \"concept\")")
-	rerankDepth := flag.Int("rerank", 0, "stage-two rerank depth C for -retrieve (0 = whole corpus; /search?rerank= overrides per request)")
+	retrieveSrc := flag.String("retrieve", "", "candidate source /search ranks from: \"exact\" (the default) or \"concept\"")
+	rerankDepth := flag.Int("rerank", 0, "candidate depth C kept for ranking (0 = whole corpus; /search?rerank= overrides per request)")
 	concepts := flag.Int("concepts", 0, "concept count when building (0 = automatic)")
 	ratio := flag.Float64("ratio", 50, "Tucker reduction ratio when building")
 	minSupport := flag.Int("min-support", 5, "cleaning support threshold when building")

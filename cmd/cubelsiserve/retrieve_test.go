@@ -14,8 +14,8 @@ import (
 )
 
 // retrieveTestServer saves the test engine with the user-factor section
-// and starts a model-backed server with the two-stage pipeline
-// configured at corpus-covering depth — the exact-parity configuration.
+// and starts a model-backed server with the retrieval pipeline
+// configured explicitly: exact source, corpus-covering depth.
 func retrieveTestServer(t *testing.T) (built *cubelsi.Engine, ts *httptest.Server) {
 	t.Helper()
 	built, _ = buildTestEngine(t)
@@ -66,10 +66,10 @@ func TestStatsReportsRetrievalAndUserFactors(t *testing.T) {
 	}
 }
 
-// TestServedRerankParity pins the serving side of the golden-parity
-// contract: a pipeline server at corpus depth, and a plain server with
-// a per-request rerank= override, both rank bit-identically to the
-// in-process single-stage scan.
+// TestServedRerankParity pins that depth plumbing changes nothing it
+// should not: a server configured with the exact source at corpus depth,
+// and a plain server with a covering per-request rerank= override, both
+// serve the in-process default engine's ranking bit for bit.
 func TestServedRerankParity(t *testing.T) {
 	built, ts := retrieveTestServer(t)
 	_, loaded := buildTestEngine(t)
@@ -116,6 +116,54 @@ func TestServedUserParam(t *testing.T) {
 	getJSON(t, ts, "/search?q=audio,code&n=10&user=mu0", &again)
 	mustEqualServed(t, "personalized", want, got.Results)
 	mustEqualServed(t, "personalized determinism", got.Results, again.Results)
+}
+
+// TestSearchRejectsOptionValuesTheLibraryRejects: a negative rerank
+// depth is ErrInvalidOptions on WithRetrieval and a NaN threshold
+// disables itself, so /search refuses both — on GET, on a single POST
+// and on any entry of a batch — through the error envelope instead of
+// serving something other than what was asked.
+func TestSearchRejectsOptionValuesTheLibraryRejects(t *testing.T) {
+	_, ts := retrieveTestServer(t)
+	for _, tc := range []struct {
+		name, method, target, body string
+		wantStatus                 int
+		wantFragment               string
+	}{
+		{"get negative rerank", "GET", "/search?q=mp3&rerank=-3", "", 400, "bad rerank"},
+		{"get NaN min_score", "GET", "/search?q=mp3&min_score=NaN", "", 400, "bad min_score"},
+		{"get lowercase nan min_score", "GET", "/search?q=mp3&min_score=nan", "", 400, "bad min_score"},
+		{"post negative rerank", "POST", "/search", `{"tags":["mp3"],"rerank":-3}`, 400, "bad rerank"},
+		{"batch entry negative rerank", "POST", "/search", `{"queries":[{"tags":["mp3"]},{"tags":["audio"],"rerank":-3}]}`, 400, "query 1: bad rerank"},
+		{"post NaN min_score is not JSON", "POST", "/search", `{"tags":["mp3"],"min_score":NaN}`, 400, ""},
+		{"get zero rerank keeps the engine depth", "GET", "/search?q=mp3&rerank=0", "", 200, ""},
+		{"get -Inf min_score is a threshold", "GET", "/search?q=mp3&min_score=-Inf", "", 200, ""},
+		{"post positive rerank", "POST", "/search", `{"tags":["mp3"],"rerank":2}`, 200, ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.target, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		decodeErr := json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != tc.wantStatus {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
+			continue
+		}
+		if tc.wantStatus == http.StatusOK {
+			continue
+		}
+		if decodeErr != nil || envelope.Error == "" || !strings.Contains(envelope.Error, tc.wantFragment) {
+			t.Errorf("%s: error envelope %q (decode: %v), want it to contain %q", tc.name, envelope.Error, decodeErr, tc.wantFragment)
+		}
+	}
 }
 
 // TestBatchRejectsTopLevelRerankAndUser keeps the batch envelope
@@ -182,4 +230,3 @@ func mustEqualServed(t *testing.T, label string, want, got []cubelsi.Result) {
 		}
 	}
 }
-

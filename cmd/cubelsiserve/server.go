@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -69,11 +70,12 @@ type server struct {
 	annProbe  int  // inverted lists probed per query (0 = √lists)
 	annRerank int  // candidate depth before exact rerank (0 = result size)
 
-	// Two-stage retrieval pipeline for /search (Engine.WithRetrieval),
-	// re-applied on every load like the ANN options. Empty retrieveSrc
-	// with zero retrieveDepth leaves the monolithic query path in place.
-	retrieveSrc   string // stage-one candidate source ("exact" or "concept")
-	retrieveDepth int    // stage-two rerank depth C (0 = whole corpus)
+	// Retrieval pipeline for /search (Engine.WithRetrieval), re-applied on
+	// every load like the ANN options. Empty retrieveSrc with zero
+	// retrieveDepth keeps the engine's default: the exact source over the
+	// whole corpus.
+	retrieveSrc   string // candidate source ("exact" or "concept")
+	retrieveDepth int    // candidate depth C (0 = whole corpus)
 
 	// Streaming ingestion plane (corpus-backed servers): POST /stream
 	// micro-batches assignment deltas through the ingestor.
@@ -263,9 +265,9 @@ type statsResponse struct {
 	Nprobe       int    `json:"nprobe"`
 	Quantization string `json:"quantization"`
 	ModelMapped  bool   `json:"model_mapped"`
-	// RetrievalSource names the stage-one candidate source /search runs
-	// through ("" = monolithic single-stage path); RerankDepth is the
-	// configured stage-two candidate depth C (0 = whole corpus,
+	// RetrievalSource names the candidate source /search was configured
+	// with ("" = none configured: the default exact source); RerankDepth
+	// is the configured candidate depth C (0 = whole corpus,
 	// /search?rerank= overrides per request). UserFactors reports whether
 	// the model carries the compacted Y⁽¹⁾ section, i.e. whether
 	// /search?user= personalizes or silently serves the shared ranking;
@@ -476,8 +478,8 @@ type batchResponse struct {
 }
 
 // handleSearchGet answers GET /search?q=jazz,sax&n=10&min_score=0.05&concepts=1,2
-// (also rerank= for the per-request stage-two candidate depth and user=
-// for a personalized ranking when the model carries user factors).
+// (also rerank= for the per-request candidate depth and user= for a
+// personalized ranking when the model carries user factors).
 func (s *server) handleSearchGet(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
@@ -526,7 +528,27 @@ func (s *server) handleSearchGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing query parameter q or concepts")
 		return
 	}
+	if err := checkQueryOptions(q); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, searchResponse{Results: orEmpty(s.engine().Query(q))})
+}
+
+// checkQueryOptions rejects the option values Engine.WithRetrieval
+// rejects on the library side, so a request cannot be silently served
+// with something other than what it asked for: a negative rerank depth
+// (Query.Rerank ≤ 0 means "the engine's depth"), and a NaN min_score
+// (every comparison with it is false, which would switch the threshold
+// off).
+func checkQueryOptions(q cubelsi.Query) error {
+	if q.Rerank < 0 {
+		return fmt.Errorf("bad rerank: depth must be ≥ 0, got %d", q.Rerank)
+	}
+	if math.IsNaN(q.MinScore) {
+		return errors.New("bad min_score: NaN is not a threshold")
+	}
+	return nil
 }
 
 // searchRequest is the POST /search body: either one query object or a
@@ -564,6 +586,12 @@ func (s *server) handleSearchPost(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "batch requests take options per query, not top-level")
 			return
 		}
+		for i, q := range req.Queries {
+			if err := checkQueryOptions(q); err != nil {
+				writeError(w, http.StatusBadRequest, "query %d: %v", i, err)
+				return
+			}
+		}
 		batches, err := eng.SearchBatch(req.Queries)
 		if err != nil {
 			// A recovered per-query panic means the model (or the engine)
@@ -583,6 +611,10 @@ func (s *server) handleSearchPost(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Tags) == 0 && len(req.Concepts) == 0 {
 		writeError(w, http.StatusBadRequest, "missing tags or concepts")
+		return
+	}
+	if err := checkQueryOptions(req.Query); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, searchResponse{Results: orEmpty(eng.Query(req.Query))})

@@ -154,8 +154,8 @@ type Engine struct {
 	userFactors *mat.Matrix
 	userlk      *userLookup
 
-	// retr is the optional two-stage retrieval pipeline (WithRetrieval);
-	// nil serves the monolithic exact path.
+	// retr is the retrieval pipeline configured by WithRetrieval; nil
+	// means retrieve.Default(), the exact source at full depth.
 	retr *retrieve.Pipeline
 
 	stats   Stats

@@ -3,17 +3,17 @@ package ir
 // Forward is the doc-major view of an index: for each document, its
 // (term, weight) pairs in ascending term order, plus each document's
 // dominant term and the inverted lists of documents grouped by dominant
-// term. It is the stage-two seam of the two-stage retrieval pipeline —
-// rescoring a candidate against a query walks the document's own terms
-// instead of every posting list — and the substrate of the "concept"
-// candidate source, which probes only the dominant-term lists of the
-// query's own terms.
+// term. It serves what the term-major postings cannot: a document's
+// user affinity (Affinity, one dot product over the document's own
+// terms — what the scan kernel blends into a personalized score), the
+// "concept" candidate source, which probes only the dominant-term lists
+// of the query's own terms, and the exact score of one named document
+// (Score), for candidates whose source did not score them exactly.
 //
 // Scores computed through Forward are bit-identical to the inverted
 // scan: both accumulate the matched (query term × document weight)
 // products in ascending term order and divide by the same query and
-// document norms, so a rerank at full depth reproduces the monolithic
-// ranking exactly.
+// document norms.
 type Forward struct {
 	ix *Index
 	// docs[d] lists document d's (term, weight) pairs, ascending by term.
@@ -122,4 +122,12 @@ func (f *Forward) Affinity(user []float64, d int) float64 {
 		}
 	}
 	return dot / norm
+}
+
+// Blend is the personalized score of document d: its cosine score mixed
+// with the user's affinity for it, (1−beta)·cosine + beta·affinity —
+// after the cosine's normalisation, so beta weighs two quantities on
+// the same scale.
+func (f *Forward) Blend(cosine float64, user []float64, beta float64, d int) float64 {
+	return (1-beta)*cosine + beta*f.Affinity(user, d)
 }

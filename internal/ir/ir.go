@@ -6,8 +6,10 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,6 +36,10 @@ type Index struct {
 	// shared by every engine snapshot holding this index.
 	fwdOnce sync.Once
 	fwd     *Forward
+
+	// scratch pools the kernel's accumulators (*scanScratch), shared like
+	// fwd by every engine snapshot holding this index.
+	scratch sync.Pool
 }
 
 type posting struct {
@@ -184,7 +190,7 @@ func (ix *Index) Query(counts map[int]int, topN int) []Scored {
 // keeps the two composable by construction and skips the heap work for
 // below-threshold documents.
 func (ix *Index) QueryMin(counts map[int]int, topN int, minScore float64) []Scored {
-	return ix.rank(ix.QueryWeights(counts), topN, minScore)
+	return ix.RankWeights(ix.QueryWeights(counts), topN, minScore)
 }
 
 // QueryFloat is Query over fractional term counts (soft concept mapping).
@@ -209,25 +215,39 @@ func (ix *Index) QueryFloat(counts map[int]float64, topN int) []Scored {
 			qw[t] = w
 		}
 	}
-	return ix.rank(qw, topN, math.Inf(-1))
+	return ix.RankWeights(qw, topN, math.Inf(-1))
 }
 
 // RankWeights ranks documents against a precomputed tf-idf query vector
-// (QueryWeights output) — the exported scoring seam the two-stage
-// retrieval pipeline builds on. Semantics match QueryMin exactly: the
-// topN best documents at or above minScore, ordered (score desc,
-// doc asc); topN ≤ 0 returns every match. Pass math.Inf(-1) as minScore
-// for an unthresholded candidate scan.
+// (QueryWeights output). Semantics match QueryMin exactly: the topN
+// best documents at or above minScore, ordered (score desc, doc asc);
+// topN ≤ 0 returns every match. Pass math.Inf(-1) as minScore for an
+// unthresholded candidate scan.
 func (ix *Index) RankWeights(qw map[int]float64, topN int, minScore float64) []Scored {
-	return ix.rank(qw, topN, minScore)
+	return ix.rank(qw, nil, 0, topN, minScore)
+}
+
+// RankBlended is RankWeights with the user-mode bias folded into the
+// scan: each matched document's cosine is replaced by its Forward.Blend
+// with the user's affinity before the minScore threshold and the topN
+// selection, so both act on the final, personalised score. A nil user
+// is RankWeights.
+func (ix *Index) RankBlended(qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
+	return ix.rank(qw, user, beta, topN, minScore)
 }
 
 // QueryNorm returns the Euclidean norm of a tf-idf query vector,
 // accumulated over sorted terms — bit-identical to the norm the ranking
 // paths divide by.
 func (ix *Index) QueryNorm(qw map[int]float64) float64 {
+	return queryNorm(qw, sortedTerms(qw))
+}
+
+// queryNorm sums the squared weights in the order of terms (qw's keys,
+// ascending).
+func queryNorm(qw map[int]float64, terms []int) float64 {
 	var qnorm2 float64
-	for _, t := range sortedTerms(qw) {
+	for _, t := range terms {
 		qnorm2 += qw[t] * qw[t]
 	}
 	return math.Sqrt(qnorm2)
@@ -235,87 +255,114 @@ func (ix *Index) QueryNorm(qw map[int]float64) float64 {
 
 // SortScoredDesc orders results best-first: descending score, ties
 // broken by ascending document id — the comparator every ranking path
-// shares.
-func SortScoredDesc(out []Scored) { sortScoredDesc(out) }
+// shares. It is a strict total order over distinct documents, so the
+// result does not depend on the input order.
+func SortScoredDesc(out []Scored) {
+	slices.SortFunc(out, func(a, b Scored) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
+}
 
-func (ix *Index) rank(qw map[int]float64, topN int, minScore float64) []Scored {
+// scanScratch is one query's accumulator: dots[d] sums document d's
+// matched (query weight × document weight) products, seen[d] marks the
+// documents in touched. Both dense arrays are sized to the collection
+// once and are all-zero whenever the scratch sits in the pool.
+type scanScratch struct {
+	dots    []float64
+	seen    []bool
+	touched []int
+}
+
+// rank is the scoring kernel every query lands on: Equation 4 cosine
+// ranking of the documents reached through the query terms' posting
+// lists, optionally blended with a user affinity.
+//
+// Terms are visited in ascending order, so each document's dot product
+// is summed in ascending term order — the order Forward.Score uses, and
+// the reason the two agree to the bit. The accumulator is dense and
+// pooled; only the touched entries are cleared, so a query costs
+// O(postings scanned), independent of the collection size.
+func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
 	if len(qw) == 0 {
 		return nil
 	}
 	terms := sortedTerms(qw)
-	var qnorm2 float64
-	for _, t := range terms {
-		qnorm2 += qw[t] * qw[t]
-	}
-	qnorm := math.Sqrt(qnorm2)
+	qnorm := queryNorm(qw, terms)
 
-	dots := make(map[int]float64)
+	// A scratch goes back to the pool only on the normal return below: a
+	// panic mid-scan (a corrupt model, recovered by SearchBatch) drops
+	// its half-cleared scratch instead of poisoning later queries.
+	s, _ := ix.scratch.Get().(*scanScratch)
+	if s == nil {
+		s = &scanScratch{dots: make([]float64, ix.numDocs), seen: make([]bool, ix.numDocs)}
+	}
+	dots, seen, touched := s.dots, s.seen, s.touched[:0]
 	for _, t := range terms {
 		w := qw[t]
 		for _, p := range ix.postings[t] {
+			if !seen[p.doc] {
+				seen[p.doc] = true
+				touched = append(touched, p.doc)
+			}
 			dots[p.doc] += w * p.weight
 		}
 	}
-	if topN > 0 && topN < len(dots) {
-		return ix.topK(dots, qnorm, topN, minScore)
+
+	var fwd *Forward
+	if user != nil {
+		fwd = ix.Forward()
 	}
-	out := make([]Scored, 0, len(dots))
-	for d, dot := range dots {
-		if ix.norms[d] == 0 {
+	// Selection: a bounded heap when topN cuts the matches, otherwise
+	// collect and sort. Eviction order is lower score, ties by higher doc
+	// id — a strict total order, so the kept set is exactly the first
+	// topN of the full descending sort whatever order touched is in. The
+	// threshold applies before a document enters the heap, so the topN
+	// slots are spent only on documents at or above minScore.
+	var heap *topk.Heap[Scored]
+	var out []Scored
+	if topN > 0 && topN < len(touched) {
+		heap = topk.New(topN, func(a, b Scored) bool {
+			if a.Score != b.Score {
+				return a.Score < b.Score
+			}
+			return a.Doc > b.Doc
+		})
+	} else {
+		out = make([]Scored, 0, len(touched))
+	}
+	for _, d := range touched {
+		dot := dots[d]
+		dots[d], seen[d] = 0, false
+		norm := ix.norms[d]
+		if norm == 0 {
 			continue
 		}
-		score := dot / (qnorm * ix.norms[d])
+		score := dot / (qnorm * norm)
+		if fwd != nil {
+			score = fwd.Blend(score, user, beta, d)
+		}
 		if score < minScore {
 			continue
 		}
-		//lint:ignore maporder sortScoredDesc below imposes the final order (score desc, doc asc)
-		out = append(out, Scored{Doc: d, Score: score})
+		if heap != nil {
+			heap.Offer(Scored{Doc: d, Score: score})
+		} else {
+			out = append(out, Scored{Doc: d, Score: score})
+		}
 	}
-	sortScoredDesc(out)
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
-	return out
-}
+	s.touched = touched
+	ix.scratch.Put(s)
 
-// sortScoredDesc orders results best-first: descending score, ties
-// broken by ascending document id for determinism.
-func sortScoredDesc(out []Scored) {
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Doc < out[b].Doc
-	})
-}
-
-// topK selects the k best results at or above minScore with a bounded
-// heap instead of sorting every scored document: O(D log k) for D
-// matches, which is the Limit > 0 serving path on large collections.
-// Eviction order is lower score, ties by higher doc id — a strict total
-// order, so the selected set is exactly the first k of the full
-// descending sort regardless of map iteration order. The threshold is
-// applied before a document enters the heap, so the k slots are spent
-// only on documents a MinScore filter would keep.
-func (ix *Index) topK(dots map[int]float64, qnorm float64, k int, minScore float64) []Scored {
-	h := topk.New(k, func(a, b Scored) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.Doc > b.Doc
-	})
-	for d, dot := range dots {
-		if ix.norms[d] == 0 {
-			continue
-		}
-		score := dot / (qnorm * ix.norms[d])
-		if score < minScore {
-			continue
-		}
-		h.Offer(Scored{Doc: d, Score: score})
+	if heap != nil {
+		out = heap.Items()
 	}
-	out := h.Items()
-	sortScoredDesc(out)
+	SortScoredDesc(out)
 	return out
 }
 

@@ -1,0 +1,180 @@
+package ir
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// refRank is the brute-force Equation 4 reference the scan kernel is
+// checked against: the ranking this package shipped before the dense
+// kernel, kept verbatim as test code — accumulate every matched product
+// into a map in ascending term order, normalise, threshold, full-sort,
+// truncate. It shares no accumulator, pool or heap with the kernel.
+func refRank(ix *Index, qw map[int]float64, topN int, minScore float64) []Scored {
+	if len(qw) == 0 {
+		return nil
+	}
+	terms := sortedTerms(qw)
+	var qnorm2 float64
+	for _, t := range terms {
+		qnorm2 += qw[t] * qw[t]
+	}
+	qnorm := math.Sqrt(qnorm2)
+
+	dots := make(map[int]float64)
+	for _, t := range terms {
+		w := qw[t]
+		for _, p := range ix.postings[t] {
+			dots[p.doc] += w * p.weight
+		}
+	}
+	out := make([]Scored, 0, len(dots))
+	for d, dot := range dots {
+		if ix.norms[d] == 0 {
+			continue
+		}
+		score := dot / (qnorm * ix.norms[d])
+		if score < minScore {
+			continue
+		}
+		out = append(out, Scored{Doc: d, Score: score})
+	}
+	refSort(out)
+	if topN > 0 && len(out) > topN {
+		out = out[:topN]
+	}
+	return out
+}
+
+// refRankBlended is the reference for a personalised ranking: the full
+// unthresholded cosine ranking, each score then blended with the
+// document's user affinity, thresholded on the blended value, re-sorted
+// and truncated — the blend strictly after the normalisation.
+func refRankBlended(ix *Index, qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
+	f := ix.Forward()
+	var out []Scored
+	for _, s := range refRank(ix, qw, 0, math.Inf(-1)) {
+		score := (1-beta)*s.Score + beta*f.Affinity(user, s.Doc)
+		if score < minScore {
+			continue
+		}
+		out = append(out, Scored{Doc: s.Doc, Score: score})
+	}
+	refSort(out)
+	if topN > 0 && len(out) > topN {
+		out = out[:topN]
+	}
+	return out
+}
+
+func refSort(out []Scored) {
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Doc < out[b].Doc
+	})
+}
+
+// randomIndex draws a seeded index built to hit the kernel's corners:
+// duplicated documents (exact score ties), empty documents and
+// documents holding only a ubiquitous term (zero norm, no postings),
+// and a term no document uses.
+func randomIndex(rng *rand.Rand, nDocs, nTerms int) *Index {
+	docs := make([]map[int]int, nDocs)
+	for d := range docs {
+		switch {
+		case d > 0 && rng.Intn(4) == 0:
+			// Exact duplicate of an earlier document: a guaranteed tie.
+			src := docs[rng.Intn(d)]
+			dup := make(map[int]int, len(src))
+			for t, c := range src {
+				dup[t] = c
+			}
+			docs[d] = dup
+		case rng.Intn(10) == 0:
+			docs[d] = map[int]int{} // empty: zero norm
+		default:
+			doc := map[int]int{}
+			for range 1 + rng.Intn(4) {
+				doc[1+rng.Intn(nTerms-2)] += 1 + rng.Intn(3)
+			}
+			docs[d] = doc
+		}
+		// Term 0 is in every document: idf 0, never a posting, so a
+		// document holding nothing else has norm zero. Term nTerms-1
+		// stays unused.
+		docs[d][0] = 1
+	}
+	return BuildIndex(docs, nTerms)
+}
+
+func mustEqualScored(t *testing.T, label string, got, want []Scored) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, reference has %d\n got=%v\nwant=%v", label, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: result %d = %+v (bits %x), reference %+v (bits %x)", label, i,
+				got[i], math.Float64bits(got[i].Score), want[i], math.Float64bits(want[i].Score))
+		}
+	}
+}
+
+// TestKernelMatchesBruteForceReference is the property test of the scan
+// kernel: on seeded random indexes, every combination of query shape,
+// limit, threshold and user vector must reproduce the brute-force
+// reference bit for bit — documents, order and score bits.
+func TestKernelMatchesBruteForceReference(t *testing.T) {
+	const beta = 0.25
+	for seed := range 6 {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		nDocs, nTerms := 40+rng.Intn(200), 5+rng.Intn(12)
+		ix := randomIndex(rng, nDocs, nTerms)
+
+		user := make([]float64, nTerms-rng.Intn(3)) // sometimes shorter than the term space
+		for i := range user {
+			user[i] = rng.NormFloat64()
+		}
+		queries := []map[int]int{
+			nil,
+			{},
+			{0: 3},                      // ubiquitous term only: weightless
+			{nTerms - 1: 1},             // unused term only
+			{0: 1, 1: 1, nTerms - 1: 2}, // one live term among dead ones
+		}
+		for range 12 {
+			q := map[int]int{}
+			for range 1 + rng.Intn(4) {
+				q[rng.Intn(nTerms)] += 1 + rng.Intn(2)
+			}
+			queries = append(queries, q)
+		}
+		for qi, counts := range queries {
+			qw := ix.QueryWeights(counts)
+			full := refRank(ix, qw, 0, math.Inf(-1))
+			mins := []float64{math.Inf(-1), 0, 2}
+			if len(full) > 0 {
+				mins = append(mins, full[len(full)/2].Score, full[0].Score, math.Nextafter(full[0].Score, 2))
+			}
+			fcounts := make(map[int]float64, len(counts))
+			for term, c := range counts {
+				fcounts[term] = float64(c)
+			}
+			for _, topN := range []int{-1, 0, 1, 7, len(full), len(full) + 3} {
+				mustEqualScored(t, fmt.Sprintf("seed %d query %d topN %d QueryFloat", seed, qi, topN),
+					ix.QueryFloat(fcounts, topN), refRank(ix, qw, topN, math.Inf(-1)))
+				for _, min := range mins {
+					label := fmt.Sprintf("seed %d query %d topN %d min %v", seed, qi, topN, min)
+					mustEqualScored(t, label+" shared", ix.RankWeights(qw, topN, min), refRank(ix, qw, topN, min))
+					mustEqualScored(t, label+" QueryMin", ix.QueryMin(counts, topN, min), refRank(ix, qw, topN, min))
+					mustEqualScored(t, label+" user", ix.RankBlended(qw, user, beta, topN, min), refRankBlended(ix, qw, user, beta, topN, min))
+				}
+			}
+		}
+	}
+}

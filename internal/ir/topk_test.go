@@ -83,9 +83,32 @@ func BenchmarkQueryTop10(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
 			ix, counts := benchIndex(b, n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
 				ix.Query(counts, 10)
+			}
+		})
+	}
+}
+
+// BenchmarkQueryTop10User is BenchmarkQueryTop10 personalised: the
+// same scan with the user affinity blended into every matched
+// document's score before the heap.
+func BenchmarkQueryTop10User(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			ix, counts := benchIndex(b, n)
+			qw := ix.QueryWeights(counts)
+			user := make([]float64, ix.NumTerms())
+			for i := range user {
+				user[i] = float64(i%5) - 2
+			}
+			ix.Forward() // built once per index, outside the timed region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				ix.RankBlended(qw, user, 0.25, 10, 0)
 			}
 		})
 	}
@@ -97,6 +120,7 @@ func BenchmarkQueryFullSort(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
 			ix, counts := benchIndex(b, n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
 				ix.Query(counts, 0)

@@ -1,13 +1,24 @@
-// Package retrieve implements the two-stage retrieval pipeline of the
-// serving stack: a candidate-generation stage bounded by a depth C (the
-// full inverted-index scan, or the sublinear concept-probing source),
-// followed by an exact rerank of the survivors in concept space, with an
-// optional user-mode bias blended into the stage-two scores. With the
-// exact source and C at or above the corpus size the pipeline ranks
-// bit-identically to the monolithic inverted scan — the golden-parity
-// contract pinned at the public API — because both stages accumulate
-// matched products in ascending term order, divide by the same norms,
-// and impose the same (score desc, doc asc) final order.
+// Package retrieve plans how a query is answered over an ir.Index: which
+// candidate source selects documents, how many of them (the depth C)
+// survive the selection, and how the optional user-mode bias, the
+// MinScore threshold and the Limit apply to what is left. Every
+// request of the serving stack runs through a Pipeline; scoring itself
+// happens once, in the index's scan kernel (ir.Index.RankBlended) or the
+// doc-major forward view (ir.Forward.Score), which agree to the bit
+// because both accumulate matched products in ascending term order and
+// divide by the same norms.
+//
+// The plan a Pipeline picks:
+//
+//   - exact source at a depth covering the corpus (the default): one
+//     kernel call with the blend, the threshold and the limit folded in —
+//     no candidate list, no second pass;
+//   - exact source at a smaller depth, or the concept source: the source
+//     selects up to C candidates by their Equation 4 cosine, and stage two
+//     only blends, filters and orders them — their scores are already
+//     exact and are not recomputed;
+//   - any other Source: its scores are taken as selection scores only and
+//     every candidate is rescored through the forward view first.
 package retrieve
 
 import (
@@ -19,21 +30,24 @@ import (
 )
 
 // Source generates stage-one candidates for a query. Implementations
-// must return each document at most once; scores are the source's own
-// (possibly approximate) candidate-selection scores and never survive
-// into the final ranking — stage two rescores every candidate exactly.
+// must return each document at most once. The scores of a Source
+// implemented outside this package are its own (possibly approximate)
+// selection scores and never survive into the final ranking: the
+// pipeline rescores every such candidate exactly. The built-in exact
+// and concept sources return the Equation 4 cosine itself, best-first,
+// and the pipeline keeps those scores as they are.
 type Source interface {
 	// Name identifies the source in configuration and stats.
 	Name() string
 	// Candidates returns up to depth candidates for the tf-idf query
 	// vector, best-first under the source's selection order. depth is
-	// pre-clamped to [1, NumDocs].
+	// pre-clamped to [1, NumDocs]. The returned slice becomes the
+	// pipeline's, which filters and reorders it in place.
 	Candidates(ix *ir.Index, qw map[int]float64, depth int) []ir.Scored
 }
 
-// exactSource is the exhaustive candidate generator: the same inverted
-// full scan the monolithic query path runs, unthresholded, keeping the
-// best depth documents.
+// exactSource is the exhaustive candidate generator: the index's scan
+// kernel, unthresholded, keeping the best depth documents.
 type exactSource struct{}
 
 func (exactSource) Name() string { return "exact" }
@@ -42,9 +56,9 @@ func (exactSource) Candidates(ix *ir.Index, qw map[int]float64, depth int) []ir.
 	return ix.RankWeights(qw, depth, math.Inf(-1))
 }
 
-// Exact returns the exhaustive candidate source — stage one scores every
-// matching document, so the pipeline's ranking quality is bounded only
-// by the rerank depth, never by candidate recall.
+// Exact returns the exhaustive candidate source — every matching
+// document is scored, so the pipeline's ranking quality is bounded only
+// by the depth, never by candidate recall.
 func Exact() Source { return exactSource{} }
 
 // conceptSource probes only the inverted document lists of the query's
@@ -97,10 +111,22 @@ func ByName(name string) (Source, error) {
 	return nil, fmt.Errorf("retrieve: unknown candidate source %q (want %q or %q)", name, "exact", "concept")
 }
 
+// scoresExactly reports whether a source's candidate scores are already
+// the Equation 4 cosine — true of the two built-in sources, which score
+// through the kernel and the forward view. Every other source is
+// rescored.
+func scoresExactly(s Source) bool {
+	switch s.(type) {
+	case exactSource, conceptSource:
+		return true
+	}
+	return false
+}
+
 // UserBlend is β, the weight of the user-mode affinity in a
-// personalized stage-two score: (1−β)·cosine + β·affinity. Affinities
-// are computed from ℓ²-normalized user-factor rows, so a fixed blend
-// keeps personalization a bias, never a takeover.
+// personalized score: (1−β)·cosine + β·affinity. Affinities are
+// computed from ℓ²-normalized user-factor rows, so a fixed blend keeps
+// personalization a bias, never a takeover.
 const UserBlend = 0.25
 
 // Request is one retrieval request against an index.
@@ -113,26 +139,25 @@ type Request struct {
 	// MinScore drops results whose final — after any user bias — score
 	// is below it.
 	MinScore float64
-	// Depth overrides the pipeline's rerank depth C for this request;
+	// Depth overrides the pipeline's candidate depth C for this request;
 	// zero or negative keeps the configured depth.
 	Depth int
 	// User is the optional per-term affinity vector of the requesting
-	// user (a compacted user-factor row). nil serves the unpersonalized
-	// ranking, bit-identically to a pipeline without personalization.
+	// user (a compacted user-factor row). nil serves the shared ranking:
+	// no blend is applied, not even a zero one.
 	User []float64
 }
 
-// Pipeline is a configured two-stage retrieval plan: a candidate source
-// and a default rerank depth. The zero depth reranks the entire corpus.
-// A Pipeline is immutable and safe for concurrent Search calls.
+// Pipeline is a configured retrieval plan: a candidate source and a
+// default depth C. The zero depth covers the entire corpus. A Pipeline
+// is immutable and safe for concurrent Search calls.
 type Pipeline struct {
 	source Source
 	depth  int
 }
 
 // New builds a pipeline over a candidate source (nil means exact) with
-// a default rerank depth C (0 = the entire corpus; negative is
-// invalid).
+// a default depth C (0 = the entire corpus; negative is invalid).
 func New(source Source, depth int) (*Pipeline, error) {
 	if depth < 0 {
 		return nil, fmt.Errorf("retrieve: rerank depth must be ≥ 0, got %d", depth)
@@ -143,20 +168,24 @@ func New(source Source, depth int) (*Pipeline, error) {
 	return &Pipeline{source: source, depth: depth}, nil
 }
 
-// Default returns the pipeline equivalent to the monolithic path: exact
-// candidates at full depth. It is what per-request overrides fall back
-// to on engines configured without an explicit pipeline.
-func Default() *Pipeline { return &Pipeline{source: Exact()} }
+var defaultPipeline = &Pipeline{source: exactSource{}}
+
+// Default returns the pipeline of an engine configured without one:
+// exact candidates at full depth, which Search answers with a single
+// kernel call.
+func Default() *Pipeline { return defaultPipeline }
 
 // SourceName returns the configured candidate source's name.
 func (p *Pipeline) SourceName() string { return p.source.Name() }
 
-// Depth returns the configured default rerank depth (0 = full corpus).
+// Depth returns the configured default depth (0 = full corpus).
 func (p *Pipeline) Depth() int { return p.depth }
 
-// Search runs both stages: generate up to C candidates, exactly rescore
-// them (blending in the user bias when req.User is set), filter by
-// MinScore, and return the best Limit in (score desc, doc asc) order.
+// Search answers one request: the best Limit documents at or above
+// MinScore in (score desc, doc asc) order, drawn from the up to C
+// candidates the source selects, scored by Equation 4 and — when
+// req.User is set — blended with the user's affinity before the
+// threshold.
 func (p *Pipeline) Search(ix *ir.Index, req Request) []ir.Scored {
 	if len(req.Weights) == 0 {
 		return nil
@@ -168,30 +197,45 @@ func (p *Pipeline) Search(ix *ir.Index, req Request) []ir.Scored {
 	if depth <= 0 || depth > ix.NumDocs() {
 		depth = ix.NumDocs()
 	}
+	if _, exact := p.source.(exactSource); exact && depth == ix.NumDocs() {
+		// Every match is a candidate, so selection and final ranking are
+		// the same scan.
+		return ix.RankBlended(req.Weights, req.User, UserBlend, req.Limit, req.MinScore)
+	}
 	cands := p.source.Candidates(ix, req.Weights, depth)
-	return rerank(ix, cands, req)
+	if !scoresExactly(p.source) {
+		cands = rescore(ix, cands, req.Weights)
+	}
+	return finish(ix, cands, req)
 }
 
-// rerank is stage two: exact rescoring of the candidates through the
-// doc-major forward view — bit-identical to the inverted scan — plus
-// the optional user bias, the MinScore filter, and the final order.
-func rerank(ix *ir.Index, cands []ir.Scored, req Request) []ir.Scored {
+// rescore replaces candidate scores with the exact cosine, computed
+// through the doc-major forward view — bit-identical to the inverted
+// scan — and drops candidates the query does not match.
+func rescore(ix *ir.Index, cands []ir.Scored, qw map[int]float64) []ir.Scored {
 	f := ix.Forward()
-	qnorm := ix.QueryNorm(req.Weights)
-	// Rescore in ascending document order: deterministic regardless of
-	// the source's candidate order.
-	sort.Slice(cands, func(a, b int) bool { return cands[a].Doc < cands[b].Doc })
-	out := make([]ir.Scored, 0, len(cands))
+	qnorm := ix.QueryNorm(qw)
+	out := cands[:0]
 	for _, cand := range cands {
-		score, ok := f.Score(req.Weights, qnorm, cand.Doc)
-		if !ok {
-			continue
+		if score, ok := f.Score(qw, qnorm, cand.Doc); ok {
+			out = append(out, ir.Scored{Doc: cand.Doc, Score: score})
 		}
-		if req.User != nil {
-			// Skipped entirely — not added as zero — when no user vector
-			// is in play, so unpersonalized pipelines stay bit-identical
-			// to the monolithic path.
-			score = (1-UserBlend)*score + UserBlend*f.Affinity(req.User, cand.Doc)
+	}
+	return out
+}
+
+// finish is stage two over exactly scored candidates: blend in the user
+// bias, apply MinScore to the final score, order, and cut to Limit.
+func finish(ix *ir.Index, cands []ir.Scored, req Request) []ir.Scored {
+	var f *ir.Forward
+	if req.User != nil {
+		f = ix.Forward()
+	}
+	out := cands[:0]
+	for _, cand := range cands {
+		score := cand.Score
+		if f != nil {
+			score = f.Blend(score, req.User, UserBlend, cand.Doc)
 		}
 		if score < req.MinScore {
 			continue

@@ -1,7 +1,9 @@
 package retrieve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ir"
@@ -26,23 +28,15 @@ func weights(ix *ir.Index, counts map[int]int) map[int]float64 {
 	return ix.QueryWeights(counts)
 }
 
-// TestExactFullDepthMatchesMonolithic pins the parity contract at the
-// package level: the exact source at corpus depth reproduces
-// ir.Index.QueryMin bit for bit.
-func TestExactFullDepthMatchesMonolithic(t *testing.T) {
+// TestExactFullDepthMatchesReference pins the default plan at the
+// package level: the exact source at corpus depth — one kernel call —
+// reproduces the brute-force doc-by-doc ranking bit for bit.
+func TestExactFullDepthMatchesReference(t *testing.T) {
 	ix := testIndex()
 	p := Default()
 	for _, counts := range []map[int]int{{0: 2}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}} {
-		want := ix.QueryMin(counts, 0, math.Inf(-1))
-		got := p.Search(ix, Request{Weights: weights(ix, counts)})
-		if len(got) != len(want) {
-			t.Fatalf("counts %v: %d vs %d results", counts, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("counts %v result %d: %+v vs %+v", counts, i, got[i], want[i])
-			}
-		}
+		req := Request{Weights: weights(ix, counts), MinScore: math.Inf(-1)}
+		mustEqualScored(t, fmt.Sprintf("counts %v", counts), p.Search(ix, req), refSearch(ix, 0, false, req))
 	}
 }
 
@@ -133,7 +127,7 @@ func TestUserBiasBlendsAndFilters(t *testing.T) {
 		}
 	}
 
-	// A nil user vector is bit-identical to the unpersonalized path.
+	// A nil user vector applies no blend at all, not even a zero one.
 	again := Default().Search(ix, Request{Weights: qw, User: nil})
 	for i := range base {
 		if base[i] != again[i] {
@@ -172,5 +166,29 @@ func TestByName(t *testing.T) {
 func TestEmptyQuery(t *testing.T) {
 	if got := Default().Search(testIndex(), Request{}); got != nil {
 		t.Fatalf("empty query returned %v", got)
+	}
+}
+
+// BenchmarkSearchPartialDepthUser measures the plan that still has two
+// stages: the exact source cut at C = 200 candidates by cosine, then
+// the user blend, threshold and order over those 200 — no rescoring.
+func BenchmarkSearchPartialDepthUser(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ix := randomIndex(rng, 20_000, 24)
+	qw := ix.QueryWeights(map[int]int{1: 1, 7: 1, 13: 2})
+	user := make([]float64, ix.NumTerms())
+	for i := range user {
+		user[i] = rng.NormFloat64()
+	}
+	p, err := New(Exact(), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Weights: qw, Limit: 10, User: user}
+	p.Search(ix, req) // builds the forward view outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		p.Search(ix, req)
 	}
 }

@@ -47,17 +47,16 @@ type Query struct {
 	// repeated ids count once: listing a concept twice must not silently
 	// double its weight.
 	Concepts []int `json:"concepts,omitempty"`
-	// Rerank overrides the engine's stage-two rerank depth C for this
-	// request (WithRetrieval): stage one keeps the best Rerank
-	// candidates before the exact rerank. Zero keeps the engine's
-	// configured depth; on an engine without a retrieval pipeline a
-	// positive Rerank runs the two-stage path ad hoc with the exact
-	// candidate source.
+	// Rerank overrides the engine's candidate depth C for this request
+	// (WithRetrieval): only the best Rerank candidates of the engine's
+	// candidate source — the exact source unless WithRetrieval chose
+	// another — are personalized, thresholded and ranked. Zero keeps the
+	// engine's configured depth.
 	Rerank int `json:"rerank,omitempty"`
 	// User personalizes the ranking through the model's compacted
-	// user-mode factors: stage-two scores are blended with the named
-	// user's concept affinities. Empty serves the shared ranking; an
-	// unknown user, or a model saved without WithUserFactors, also
+	// user-mode factors: each candidate's score is blended with the
+	// named user's concept affinities. Empty serves the shared ranking;
+	// an unknown user, or a model saved without WithUserFactors, also
 	// serves the shared ranking, bit-identically.
 	User string `json:"user,omitempty"`
 }
@@ -81,8 +80,8 @@ func WithConcepts(ids ...int) QueryOption {
 	return func(q *Query) { q.Concepts = append(q.Concepts, ids...) }
 }
 
-// WithRerank overrides the stage-two rerank depth C for this query
-// (see Query.Rerank); zero keeps the engine's configured depth.
+// WithRerank overrides the candidate depth C for this query (see
+// Query.Rerank); zero keeps the engine's configured depth.
 func WithRerank(c int) QueryOption {
 	return func(q *Query) { q.Rerank = c }
 }
@@ -111,13 +110,13 @@ func NewQuery(tags []string, opts ...QueryOption) Query {
 // MinScore — whenever at least Limit resources pass the threshold,
 // exactly Limit come back.
 //
-// On engines derived with WithRetrieval — or when the request itself
-// carries a Rerank depth or a User — the request runs the two-stage
-// pipeline: stage one generates up to C candidates, stage two reranks
-// them exactly (blending in the user's concept affinities when the
-// model carries user factors), and MinScore applies to the final,
-// possibly personalized, score. Otherwise the monolithic inverted scan
-// answers, exactly as before the pipeline existed.
+// Every request runs the engine's retrieval pipeline (WithRetrieval; by
+// default the exact inverted-index scan over the whole corpus): its
+// candidate source selects up to C candidates by that cosine, a User
+// the model carries factors for blends each candidate's score with the
+// user's concept affinities, and MinScore and Limit apply to the final,
+// possibly personalized, score. At the default full depth all of that
+// is one scan.
 func (e *Engine) Query(q Query) []Result {
 	counts := make(map[int]int, len(q.Tags))
 	for _, name := range q.Tags {
@@ -139,12 +138,6 @@ func (e *Engine) Query(q Query) []Result {
 		}
 	}
 
-	user := e.userVector(q.User)
-	if e.retr == nil && user == nil && q.Rerank <= 0 {
-		// Monolithic fast path: no pipeline, no personalization, no
-		// per-request depth — the pre-refactor exact scan, untouched.
-		return e.results(e.index.QueryMin(concepts, q.Limit, q.MinScore))
-	}
 	p := e.retr
 	if p == nil {
 		p = retrieve.Default()
@@ -154,7 +147,7 @@ func (e *Engine) Query(q Query) []Result {
 		Limit:    q.Limit,
 		MinScore: q.MinScore,
 		Depth:    q.Rerank,
-		User:     user,
+		User:     e.userVector(q.User),
 	})
 	return e.results(scored)
 }

@@ -10,20 +10,20 @@ import (
 	"repro/internal/tucker"
 )
 
-// WithRetrieval returns a derived engine whose Query path runs the
-// explicit two-stage retrieval pipeline. candidates names the stage-one
-// candidate source: "exact" (or "") is the full inverted-index scan —
-// the same scoring the monolithic path runs — and "concept" probes only
-// the inverted document lists of the query's own concepts, skipping
-// documents whose dominant concept the query never mentions (sublinear
-// candidate work, with the recall cost measured by the benchoffline
-// rerank curve). rerank is the candidate depth C kept for the stage-two
-// exact rerank: 0 reranks the entire corpus, and Query.Rerank /
-// /search?rerank= override it per request. With the exact source and
-// C ≥ corpus size the pipeline ranks bit-identically to the monolithic
-// path — the golden-parity configuration the tests pin. Like every
-// derived snapshot the receiver is not mutated; the returned engine is
-// immutable and safe for concurrent queries.
+// WithRetrieval returns a derived engine whose Query path uses the named
+// candidate source at depth C instead of the default (the exact source
+// over the whole corpus). candidates names the source: "exact" (or "")
+// is the inverted-index scan, which scores every matching resource, and
+// "concept" probes only the inverted document lists of the query's own
+// concepts, skipping documents whose dominant concept the query never
+// mentions (sublinear candidate work, with the recall cost measured by
+// the benchoffline rerank curve). rerank is the candidate depth C: only
+// the source's best C candidates by cosine are personalized,
+// thresholded and ranked. 0 keeps every candidate, and Query.Rerank /
+// /search?rerank= override it per request. WithRetrieval("exact", 0) —
+// or any C ≥ the corpus size — ranks exactly as the receiver does.
+// Like every derived snapshot the receiver is not mutated; the returned
+// engine is immutable and safe for concurrent queries.
 func (e *Engine) WithRetrieval(candidates string, rerank int) (*Engine, error) {
 	if rerank < 0 {
 		return nil, fmt.Errorf("%w: WithRetrieval(%q, %d): rerank depth must be ≥ 0", ErrInvalidOptions, candidates, rerank)
@@ -41,12 +41,12 @@ func (e *Engine) WithRetrieval(candidates string, rerank int) (*Engine, error) {
 	return &derived, nil
 }
 
-// RetrievalEnabled reports whether Query serves through an explicit
-// two-stage pipeline (WithRetrieval) instead of the monolithic scan.
+// RetrievalEnabled reports whether the engine was derived with
+// WithRetrieval; false means Query uses the default source and depth.
 func (e *Engine) RetrievalEnabled() bool { return e.retr != nil }
 
-// RetrievalSource names the configured stage-one candidate source
-// ("exact" or "concept"); empty when retrieval is off.
+// RetrievalSource names the candidate source WithRetrieval configured
+// ("exact" or "concept"); empty when none was.
 func (e *Engine) RetrievalSource() string {
 	if e.retr == nil {
 		return ""
@@ -54,8 +54,8 @@ func (e *Engine) RetrievalSource() string {
 	return e.retr.SourceName()
 }
 
-// RetrievalDepth returns the configured stage-two rerank depth C
-// (0 = the entire corpus). Zero also when retrieval is off.
+// RetrievalDepth returns the candidate depth C WithRetrieval configured
+// (0 = the entire corpus). Zero also when none was.
 func (e *Engine) RetrievalDepth() int {
 	if e.retr == nil {
 		return 0

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// parityQueries is the workload the golden-parity tests replay against
-// every pair of query paths: plain keyword queries, multi-tag queries,
-// limits, thresholds, and a miss.
+// parityQueries is the workload the parity tests replay against every
+// pair of engine configurations: plain keyword queries, multi-tag
+// queries, limits, thresholds, and a miss.
 func parityQueries() []Query {
 	return []Query{
 		NewQuery([]string{"mp3"}),
@@ -38,11 +38,13 @@ func mustEqualResults(t *testing.T, label string, a, b []Result) {
 	}
 }
 
-// TestRetrievalGoldenParity pins the refactor's contract: the explicit
-// two-stage pipeline with the exact candidate source and a rerank depth
-// covering the corpus ranks bit-identically to the pre-refactor
-// monolithic scan — whether the pipeline is configured on the engine or
-// requested ad hoc per query.
+// TestRetrievalGoldenParity pins that configuration alone never moves a
+// ranking: the exact candidate source at a depth covering the corpus —
+// configured with WithRetrieval as 0 or as the corpus size, or requested
+// ad hoc per query — ranks bit-identically to the default engine. What
+// the default engine itself must return is pinned by
+// TestGoldenAnswerHash and the brute-force reference property tests in
+// internal/ir and internal/retrieve.
 func TestRetrievalGoldenParity(t *testing.T) {
 	eng := buildCorpus(t)
 	corpusSize := eng.Stats().Resources
