@@ -215,7 +215,7 @@ func topEigenvectors(l *mat.Matrix, k int, seed int64, n int) *mat.Eigen {
 			Vectors: full.Vectors.SubMatrix(0, n, 0, k),
 		}
 	}
-	shifted := &shiftOp{m: l}
+	shifted := &shiftOp{m: mat.MatrixOperator{M: l}}
 	eig := mat.SubspaceIteration(shifted, k, mat.SubspaceOptions{Seed: uint64(seed)})
 	for i := range eig.Values {
 		eig.Values[i] -= 1
@@ -230,16 +230,16 @@ func fullEigen(l *mat.Matrix) *mat.Eigen {
 	return mat.SymEigTridiag(l)
 }
 
-// shiftOp applies y = (M+I)x.
-type shiftOp struct{ m *mat.Matrix }
+// shiftOp applies z = (M+I)·q.
+type shiftOp struct{ m mat.MatrixOperator }
 
-func (o *shiftOp) Dim() int { return o.m.Rows() }
+func (o *shiftOp) Dim() int { return o.m.Dim() }
 
-func (o *shiftOp) Apply(x, y []float64) {
-	mo := mat.MatrixOperator{M: o.m}
-	mo.Apply(x, y)
-	for i := range y {
-		y[i] += x[i]
+func (o *shiftOp) ApplyBlock(q, z *mat.Matrix, workers int) {
+	o.m.ApplyBlock(q, z, workers)
+	zd := z.Data()
+	for i, v := range q.Data() {
+		zd[i] += v
 	}
 }
 

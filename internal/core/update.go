@@ -79,7 +79,9 @@ type UpdateStats struct {
 
 // Update is the incremental counterpart of Build: it re-runs the offline
 // pipeline over an updated dataset, warm-starting the ALS sweep from the
-// previous factor matrices (fewer sweeps to the fixed point), and
+// previous factor matrices (no HOSVD initialisation; the sweeps
+// themselves still run to the MaxSweeps cap on the benchmark corpora,
+// see tucker.WarmStart and ROADMAP item 3), and
 // re-clustering only the tags whose embedding rows moved beyond a
 // threshold — every other tag keeps its previous concept id, so concept
 // labels are stable across updates. The tensor itself is rebuilt from

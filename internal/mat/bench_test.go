@@ -25,6 +25,7 @@ func BenchmarkMul256(b *testing.B) {
 
 func BenchmarkSymMulT512x128(b *testing.B) {
 	x := benchMatrix(512, 128, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		SymMulT(x)
@@ -41,6 +42,7 @@ func BenchmarkQRFactor256x64(b *testing.B) {
 
 func BenchmarkOrthonormalizeCholQR(b *testing.B) {
 	x := benchMatrix(1024, 64, 5)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		Orthonormalize(x.Clone())
@@ -67,7 +69,8 @@ func BenchmarkSymEigTridiag256(b *testing.B) {
 
 func BenchmarkSubspaceIterationTop16(b *testing.B) {
 	w := benchMatrix(512, 256, 8)
-	op := GramOperator{W: w}
+	op := &GramOperator{W: w}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
 		SubspaceIteration(op, 16, SubspaceOptions{Seed: uint64(i)})
@@ -76,6 +79,7 @@ func BenchmarkSubspaceIterationTop16(b *testing.B) {
 
 func BenchmarkLeftSVD512x256k32(b *testing.B) {
 	w := benchMatrix(512, 256, 9)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
 		LeftSVD(w, 32, SubspaceOptions{Seed: uint64(i)})

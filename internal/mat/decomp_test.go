@@ -193,7 +193,7 @@ func TestSubspaceIterationTopK(t *testing.T) {
 	}
 	q := Orthonormalize(randMatrix(rng, n, n))
 	a := Mul(Mul(q, Diag(vals)), q.T())
-	e := SubspaceIteration(MatrixOperator{M: a}, k, SubspaceOptions{Seed: 42})
+	e := SubspaceIteration(&MatrixOperator{M: a}, k, SubspaceOptions{Seed: 42})
 	for j := range k {
 		if !almostEq(e.Values[j], vals[j], 1e-6) {
 			t.Fatalf("eigenvalue %d = %v, want %v", j, e.Values[j], vals[j])
@@ -208,7 +208,7 @@ func TestSubspaceMatchesFullEig(t *testing.T) {
 	w := randMatrix(rng, n, 25)
 	g := MulT(w, w) // PSD Gram matrix
 	full := SymEig(g)
-	sub := SubspaceIteration(GramOperator{W: w}, k, SubspaceOptions{Seed: 1})
+	sub := SubspaceIteration(&GramOperator{W: w}, k, SubspaceOptions{Seed: 1})
 	for j := range k {
 		if !almostEq(full.Values[j], sub.Values[j], 1e-7) {
 			t.Fatalf("eigenvalue %d: full %v vs subspace %v", j, full.Values[j], sub.Values[j])

@@ -25,12 +25,13 @@ func SymEig(a *Matrix) *Eigen {
 	}
 	w := a.Clone()
 	v := Identity(n)
+	wd, vd := w.data, v.data
 
 	offDiag := func() float64 {
 		var s float64
 		for i := range n {
-			for j := i + 1; j < n; j++ {
-				s += w.At(i, j) * w.At(i, j)
+			for _, x := range wd[i*n+i+1 : (i+1)*n] {
+				s += x * x
 			}
 		}
 		return math.Sqrt(2 * s)
@@ -47,11 +48,11 @@ func SymEig(a *Matrix) *Eigen {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := wd[p*n+q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app, aqq := w.At(p, p), w.At(q, q)
+				app, aqq := wd[p*n+p], wd[q*n+q]
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
@@ -61,22 +62,24 @@ func SymEig(a *Matrix) *Eigen {
 				}
 				cth := 1 / math.Sqrt(1+t*t)
 				sth := t * cth
-				// Apply the rotation J(p,q,θ) on both sides of w.
-				for k := range n {
-					akp, akq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, cth*akp-sth*akq)
-					w.Set(k, q, sth*akp+cth*akq)
+				// Apply the rotation J(p,q,θ) on both sides of w: columns
+				// p and q first, then rows p and q.
+				for kp, kq := p, q; kp < n*n; kp, kq = kp+n, kq+n {
+					akp, akq := wd[kp], wd[kq]
+					wd[kp] = cth*akp - sth*akq
+					wd[kq] = sth*akp + cth*akq
 				}
-				for k := range n {
-					apk, aqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, cth*apk-sth*aqk)
-					w.Set(q, k, sth*apk+cth*aqk)
+				wp, wq := wd[p*n:(p+1)*n], wd[q*n:(q+1)*n]
+				for k, apk := range wp {
+					aqk := wq[k]
+					wp[k] = cth*apk - sth*aqk
+					wq[k] = sth*apk + cth*aqk
 				}
 				// Accumulate eigenvectors.
-				for k := range n {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, cth*vkp-sth*vkq)
-					v.Set(k, q, sth*vkp+cth*vkq)
+				for kp, kq := p, q; kp < n*n; kp, kq = kp+n, kq+n {
+					vkp, vkq := vd[kp], vd[kq]
+					vd[kp] = cth*vkp - sth*vkq
+					vd[kq] = sth*vkp + cth*vkq
 				}
 			}
 		}
@@ -84,7 +87,7 @@ func SymEig(a *Matrix) *Eigen {
 
 	vals := make([]float64, n)
 	for i := range n {
-		vals[i] = w.At(i, i)
+		vals[i] = wd[i*n+i]
 	}
 	return sortEigen(vals, v)
 }
@@ -98,64 +101,75 @@ func sortEigen(vals []float64, vecs *Matrix) *Eigen {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
 	sv := make([]float64, n)
-	sm := New(vecs.Rows(), n)
 	for k, i := range idx {
 		sv[k] = vals[i]
-		sm.SetCol(k, vecs.Col(i))
 	}
-	return &Eigen{Values: sv, Vectors: sm}
+	return &Eigen{Values: sv, Vectors: vecs.selectCols(idx)}
 }
 
-// Operator is a symmetric linear operator y = A·x, used by
-// SubspaceIteration so that large or implicitly-defined matrices (for
-// example Gram products W·Wᵀ) never need to be materialized.
+// Operator is a symmetric linear operator A, used by SubspaceIteration so
+// that large or implicitly-defined matrices (for example Gram products
+// W·Wᵀ) never need to be materialized. It is applied to a whole block of
+// vectors at a time: a block apply shares every pass over A among all the
+// block's columns, where a column-at-a-time apply repeats it.
 type Operator interface {
 	// Dim returns the dimension n of the operator.
 	Dim() int
-	// Apply computes y = A·x. len(x) == len(y) == Dim().
-	Apply(x, y []float64)
+	// ApplyBlock overwrites z with A·q for the n×b blocks q and z, on at
+	// most workers goroutines (0 = one per logical CPU, 1 = serial).
+	// Column j of z must carry exactly the bits a serial product of A
+	// with column j of q would: implementations split the work across
+	// disjoint outputs and never reorder a per-element summation, which
+	// is what makes the eigenpairs independent of the worker count. An
+	// operator may keep scratch between calls, so one operator is not
+	// safe for concurrent ApplyBlock calls.
+	ApplyBlock(q, z *Matrix, workers int)
+}
+
+// scratch returns *m if it already has the given shape and otherwise
+// replaces it with a new matrix of that shape. Operators keep their
+// per-apply temporaries this way: allocated on the first block of a
+// subspace iteration, reused by every later one.
+func scratch(m **Matrix, rows, cols int) *Matrix {
+	if *m == nil || (*m).rows != rows || (*m).cols != cols {
+		*m = New(rows, cols)
+	}
+	return *m
 }
 
 // MatrixOperator adapts a symmetric *Matrix to the Operator interface.
-type MatrixOperator struct{ M *Matrix }
+type MatrixOperator struct {
+	M  *Matrix
+	qt *Matrix // transposed block
+}
 
 // Dim returns the operator dimension.
-func (o MatrixOperator) Dim() int { return o.M.Rows() }
+func (o *MatrixOperator) Dim() int { return o.M.Rows() }
 
-// Apply computes y = M·x.
-func (o MatrixOperator) Apply(x, y []float64) {
-	m := o.M
-	for i := range m.rows {
-		y[i] = Dot(m.Row(i), x)
-	}
+// ApplyBlock computes z = M·q: every element is the Dot of a row of M
+// with a column of q, taken from the transposed block so that four
+// columns share each pass over the row.
+func (o *MatrixOperator) ApplyBlock(q, z *Matrix, workers int) {
+	qt := scratch(&o.qt, q.cols, q.rows)
+	q.transposeInto(qt)
+	mulTInto(z, o.M, qt, workers, false)
 }
-
-// ConcurrencySafe marks the operator safe for concurrent Apply calls.
-func (o MatrixOperator) ConcurrencySafe() bool { return true }
 
 // GramOperator represents W·Wᵀ for a rectangular W without forming the
-// product: Apply computes y = W·(Wᵀ·x).
-type GramOperator struct{ W *Matrix }
-
-// Dim returns the number of rows of W.
-func (o GramOperator) Dim() int { return o.W.Rows() }
-
-// Apply computes y = W·Wᵀ·x.
-func (o GramOperator) Apply(x, y []float64) {
-	t := o.W.TMulVec(x)
-	r := o.W.MulVec(t)
-	copy(y, r)
+// product.
+type GramOperator struct {
+	W  *Matrix
+	tt *Matrix // (Wᵀ·q)ᵀ
 }
 
-// ConcurrencySafe marks the operator safe for concurrent Apply calls.
-func (o GramOperator) ConcurrencySafe() bool { return true }
+// Dim returns the number of rows of W.
+func (o *GramOperator) Dim() int { return o.W.Rows() }
 
-// ConcurrentOperator is implemented by operators whose Apply may be
-// invoked from multiple goroutines at once; SubspaceIteration then
-// processes block columns in parallel.
-type ConcurrentOperator interface {
-	Operator
-	ConcurrencySafe() bool
+// ApplyBlock computes z = W·(Wᵀ·q).
+func (o *GramOperator) ApplyBlock(q, z *Matrix, workers int) {
+	tt := scratch(&o.tt, q.cols, o.W.cols)
+	tmulInto(tt, q, o.W, workers)
+	mulTInto(z, o.W, tt, workers, false)
 }
 
 // SubspaceOptions configures SubspaceIteration.
@@ -204,85 +218,58 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 	if b > n {
 		b = n
 	}
+	workers := opts.Workers
+
+	// Everything the iteration needs is allocated here, once: the two
+	// blocks that trade places and their transposes, the Ritz matrix and
+	// vectors, and the orthonormalization scratch. The products of two
+	// tall blocks are taken along rows of the transposes, where each
+	// element is an inner product of contiguous vectors.
+	q, z := New(n, b), New(n, b)
+	qt, zt := New(b, n), New(b, n)
+	h, vt := New(b, b), New(b, b)
+	vecs, avecs := New(n, b), New(n, b)
+	var ortho orthoScratch
 
 	rng := newSplitMix(opts.Seed ^ 0x9e3779b97f4a7c15)
-	q := New(n, b)
-	for i := range n {
-		for j := range b {
-			q.Set(i, j, rng.normFloat())
-		}
+	for i := range q.data {
+		q.data[i] = rng.normFloat()
 	}
-	orthonormalizeW(q, opts.Workers)
-
-	z := New(n, b)
-	xbuf := make([]float64, n)
-	ybuf := make([]float64, n)
-	concurrent := false
-	if c, ok := op.(ConcurrentOperator); ok && c.ConcurrencySafe() {
-		concurrent = true
-	}
-
-	applyBlock := func() {
-		if concurrent && b > 1 && Workers(opts.Workers) > 1 {
-			// One goroutine per column chunk; each worker owns its own
-			// in/out buffers.
-			parallelForW(b, parallelThreshold*2, opts.Workers, func(lo, hi int) {
-				xw := make([]float64, n)
-				yw := make([]float64, n)
-				for j := lo; j < hi; j++ {
-					for i := range n {
-						xw[i] = q.At(i, j)
-					}
-					op.Apply(xw, yw)
-					z.SetCol(j, yw)
-				}
-			})
-			return
-		}
-		for j := range b {
-			for i := range n {
-				xbuf[i] = q.At(i, j)
-			}
-			op.Apply(xbuf, ybuf)
-			z.SetCol(j, ybuf)
-		}
-	}
-	rayleighRitz := func() *Eigen {
-		// H = QᵀZ is symmetric since A is; symmetrize against rounding.
-		h := tmulW(q, z, opts.Workers)
-		for i := range b {
-			for j := i + 1; j < b; j++ {
-				v := 0.5 * (h.At(i, j) + h.At(j, i))
-				h.Set(i, j, v)
-				h.Set(j, i, v)
-			}
-		}
-		// Size-aware eigensolver: Jacobi for small blocks (identical to
-		// the historical behavior there), tridiagonal QL beyond — the
-		// cyclic Jacobi sweeps on a 250-wide Ritz block were the dominant
-		// serial cost of large decompositions.
-		return symEigAuto(h)
-	}
+	ortho.orthonormalize(q, workers)
 
 	var ritz *Eigen
-	var vecs, avecs *Matrix
 	// Between Rayleigh–Ritz extractions (which cost a dense b×b
 	// eigendecomposition each) run plain power-orthonormalize steps; the
 	// Ritz step then both accelerates and tests convergence.
 	const powerSteps = 2
 	for applied := 0; applied < maxIter; {
 		for p := 0; p < powerSteps && applied < maxIter-1; p++ {
-			applyBlock()
+			op.ApplyBlock(q, z, workers)
 			applied++
 			q, z = z, q
-			orthonormalizeW(q, opts.Workers)
+			ortho.orthonormalize(q, workers)
 		}
-		applyBlock()
+		op.ApplyBlock(q, z, workers)
 		applied++
-		ritz = rayleighRitz()
+		// H = QᵀZ is symmetric since A is; symmetrize against rounding.
+		q.transposeInto(qt)
+		z.transposeInto(zt)
+		mulTInto(h, qt, zt, workers, true)
+		for i := range b {
+			for j := i + 1; j < b; j++ {
+				v := 0.5 * (h.data[i*b+j] + h.data[j*b+i])
+				h.data[i*b+j] = v
+				h.data[j*b+i] = v
+			}
+		}
+		// Size-aware eigensolver: Jacobi for small blocks, tridiagonal QL
+		// beyond — cyclic Jacobi sweeps on a 250-wide Ritz block would be
+		// the dominant serial cost of large decompositions.
+		ritz = symEigAuto(h)
 		// Ritz vectors in original coordinates and their images under A.
-		vecs = mulW(q, ritz.Vectors, opts.Workers)
-		avecs = mulW(z, ritz.Vectors, opts.Workers)
+		ritz.Vectors.transposeInto(vt)
+		mulTInto(vecs, q, vt, workers, true)
+		mulTInto(avecs, z, vt, workers, true)
 
 		// Residual-based convergence on the top-k pairs:
 		// ||A·v − λ·v|| ≤ tol·|λmax| for every wanted pair.
@@ -292,9 +279,10 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 		}
 		var worst float64
 		for j := range k {
+			lambda := ritz.Values[j]
 			var res float64
-			for i := range n {
-				r := avecs.At(i, j) - ritz.Values[j]*vecs.At(i, j)
+			for ij := j; ij < n*b; ij += b {
+				r := avecs.data[ij] - lambda*vecs.data[ij]
 				res += r * r
 			}
 			worst = math.Max(worst, math.Sqrt(res))
@@ -303,15 +291,11 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 			break
 		}
 		// Advance the block: Q ← orth(A·Q rotated onto Ritz directions).
-		q = orthonormalizeW(avecs.Clone(), opts.Workers)
+		copy(q.data, avecs.data)
+		ortho.orthonormalize(q, workers)
 	}
 
-	out := &Eigen{Values: make([]float64, k), Vectors: New(n, k)}
-	copy(out.Values, ritz.Values[:k])
-	for j := range k {
-		out.Vectors.SetCol(j, vecs.Col(j))
-	}
-	return out
+	return &Eigen{Values: ritz.Values[:k:k], Vectors: vecs.SubMatrix(0, n, 0, k)}
 }
 
 // splitMix is a tiny deterministic PRNG (SplitMix64) used for seeding

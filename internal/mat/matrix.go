@@ -7,6 +7,18 @@
 // matrix shapes that arise in Tucker decomposition and spectral clustering:
 // tall-and-skinny factor matrices, small dense cores, and symmetric Gram
 // matrices accessed through operator products.
+//
+// The products under a decomposition are order-preserving block kernels.
+// Every output element is accumulated left to right, term by term, in the
+// order the plain serial loop adds it — no fused multiply-add, no
+// reassociation — but several independent elements are computed per pass
+// over the shared operand (dot4 and the loops built on it), and an
+// Operator is applied to a whole block of vectors at once (ApplyBlock).
+// One sum on its own waits on the latency of each add; four run at the
+// multiplier's throughput. The results carry the bits of the
+// one-element-at-a-time code they replaced, which reference_test.go keeps
+// and kernels_test.go compares against, and the same bits on every
+// worker count.
 package mat
 
 import (
@@ -158,66 +170,65 @@ func (m *Matrix) Clone() *Matrix {
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := New(m.cols, m.rows)
-	for i := range m.rows {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
+	m.transposeInto(t)
 	return t
 }
 
 // Mul returns the matrix product a·b. Large products run row-parallel.
 func Mul(a, b *Matrix) *Matrix { return mulW(a, b, 0) }
 
-// mulW is Mul with an explicit worker bound. Each output row is owned by
-// exactly one worker and accumulated in the same k-ascending order as the
-// serial loop, so the product is bit-identical for every worker count.
+// mulW is Mul with an explicit worker bound. Every element accumulates
+// over k in ascending order, skipping the terms whose a[i][k] is zero, so
+// the product is bit-identical for every worker count. It is taken as
+// a·(bᵀ)ᵀ: along rows of bᵀ the sums are inner products of contiguous
+// vectors, four per pass over the row of a.
 func mulW(a, b *Matrix, workers int) *Matrix {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	c := New(a.rows, b.cols)
-	// ikj loop order: stream through rows of b for cache friendliness.
-	parallelForW(a.rows, a.rows*a.cols*b.cols, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			crow := c.data[i*c.cols : (i+1)*c.cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	})
+	mulTInto(c, a, b.T(), workers, true)
 	return c
 }
 
 // MulT returns a·bᵀ without forming bᵀ. Large products run row-parallel.
 func MulT(a, b *Matrix) *Matrix { return mulTW(a, b, 0) }
 
-// mulTW is MulT with an explicit worker bound; one Dot per output element
-// keeps the result bit-identical for every worker count.
+// mulTW is MulT with an explicit worker bound.
 func mulTW(a, b *Matrix, workers int) *Matrix {
+	c := New(a.rows, b.rows)
+	mulTInto(c, a, b, workers, false)
+	return c
+}
+
+// mulTInto overwrites c with a·bᵀ. Every element is the inner product of
+// a row of a with a row of b, four rows of b per pass — Dot's sum, or with
+// skipZero the sum without the terms in which a's entry is zero — and
+// each output row belongs to one worker, so the result is bit-identical
+// for every worker count.
+func mulTInto(c, a, b *Matrix, workers int, skipZero bool) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulT shape mismatch %d×%d · (%d×%d)ᵀ", a.rows, a.cols, b.rows, b.cols))
 	}
-	c := New(a.rows, b.rows)
+	if c.rows != a.rows || c.cols != b.rows {
+		panic(fmt.Sprintf("mat: MulT output %d×%d, want %d×%d", c.rows, c.cols, a.rows, b.rows))
+	}
 	parallelForW(a.rows, a.rows*a.cols*b.rows, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			crow := c.data[i*c.cols : (i+1)*c.cols]
-			for j := range b.rows {
-				brow := b.data[j*b.cols : (j+1)*b.cols]
-				crow[j] = Dot(arow, brow)
-			}
+			dotRows(c.data[i*c.cols:(i+1)*c.cols], a.data[i*a.cols:(i+1)*a.cols], b, 0, b.rows, skipZero)
 		}
 	})
-	return c
+}
+
+// axpyNonzero computes y += a·x unless a is zero.
+func axpyNonzero(a float64, x, y []float64) {
+	if a == 0 {
+		return
+	}
+	x = x[:len(y)]
+	for j, v := range x {
+		y[j] += a * v
+	}
 }
 
 // TMul returns aᵀ·b without forming aᵀ. Large products run parallel over
@@ -228,33 +239,59 @@ func TMul(a, b *Matrix) *Matrix { return tmulW(a, b, 0) }
 // 1 = serial); the product is bit-identical for every worker count.
 func TMulWorkers(a, b *Matrix, workers int) *Matrix { return tmulW(a, b, workers) }
 
-// tmulW is TMul with an explicit worker bound. The loop nest is i-outer
-// (one output row per iteration) so workers own disjoint output rows,
-// while each element still accumulates over k in ascending order — the
-// exact summation sequence of the historical k-outer serial loop. The
-// result is therefore bit-identical to the serial product for every
-// worker count.
+// tmulW is TMul with an explicit worker bound.
 func tmulW(a, b *Matrix, workers int) *Matrix {
+	c := New(a.cols, b.cols)
+	tmulInto(c, a, b, workers)
+	return c
+}
+
+// tmulInto overwrites c with aᵀ·b. Workers own disjoint output rows, and
+// each element accumulates over k in ascending order, skipping the terms
+// whose a[k][i] is zero — the summation sequence of the serial k-outer
+// loop — so the product is bit-identical for every worker count. Four
+// output rows share each pass over b.
+func tmulInto(c, a, b *Matrix, workers int) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: TMul shape mismatch (%d×%d)ᵀ · %d×%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	c := New(a.cols, b.cols)
-	parallelForW(a.cols, a.rows*a.cols*b.cols, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := c.data[i*c.cols : (i+1)*c.cols]
+	if c.rows != a.cols || c.cols != b.cols {
+		panic(fmt.Sprintf("mat: TMul output %d×%d, want %d×%d", c.rows, c.cols, a.cols, b.cols))
+	}
+	n := b.cols
+	parallelForW(a.cols, a.rows*a.cols*n, workers, func(lo, hi int) {
+		clear(c.data[lo*n : hi*n])
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			rows := c.data[i*n : (i+4)*n]
+			c0, c1, c2, c3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
 			for k := range a.rows {
-				av := a.data[k*a.cols+i]
-				if av == 0 {
+				av := a.data[k*a.cols+i : k*a.cols+i+4]
+				a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+				brow := b.data[k*n : (k+1)*n]
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					axpyNonzero(a0, brow, c0)
+					axpyNonzero(a1, brow, c1)
+					axpyNonzero(a2, brow, c2)
+					axpyNonzero(a3, brow, c3)
 					continue
 				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
+				c0, c1, c2, c3 := c0[:len(brow)], c1[:len(brow)], c2[:len(brow)], c3[:len(brow)]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					c0[j] += a0 * bv
+					c1[j] += a1 * bv
+					c2[j] += a2 * bv
+					c3[j] += a3 * bv
 				}
 			}
 		}
+		for ; i < hi; i++ {
+			crow := c.data[i*n : (i+1)*n]
+			for k := range a.rows {
+				axpyNonzero(a.data[k*a.cols+i], b.data[k*n:(k+1)*n], crow)
+			}
+		}
 	})
-	return c
 }
 
 // MulVec returns the matrix-vector product m·x.
@@ -330,6 +367,32 @@ func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 		copy(s.Row(i-r0), m.data[i*m.cols+c0:i*m.cols+c1])
 	}
 	return s
+}
+
+// selectCols returns the matrix whose column k is column idx[k] of m.
+func (m *Matrix) selectCols(idx []int) *Matrix {
+	s := New(m.rows, len(idx))
+	for i := range m.rows {
+		src := m.data[i*m.cols : (i+1)*m.cols]
+		dst := s.data[i*s.cols : (i+1)*s.cols]
+		for k, j := range idx {
+			dst[k] = src[j]
+		}
+	}
+	return s
+}
+
+// transposeInto overwrites t (cols×rows) with the transpose of m.
+func (m *Matrix) transposeInto(t *Matrix) {
+	if t.rows != m.cols || t.cols != m.rows {
+		panic(fmt.Sprintf("mat: transpose of %d×%d into %d×%d", m.rows, m.cols, t.rows, t.cols))
+	}
+	for i := range m.rows {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, v := range row {
+			t.data[j*t.cols+i] = v
+		}
+	}
 }
 
 // FrobNorm returns the Frobenius norm of m.

@@ -6,8 +6,9 @@ import (
 )
 
 // parallelThreshold is the approximate floating-point-op count below
-// which parallel dispatch costs more than it saves.
-const parallelThreshold = 1 << 18
+// which parallel dispatch costs more than it saves: starting and joining
+// a few goroutines takes microseconds, 2¹⁶ multiply-adds take tens.
+const parallelThreshold = 1 << 16
 
 // Workers resolves a caller-supplied worker bound: 0 (or negative) means
 // one worker per logical CPU, 1 means fully serial, anything else is an

@@ -98,18 +98,41 @@ func Orthonormalize(a *Matrix) *Matrix { return orthonormalizeW(a, 0) }
 // solves assign disjoint outputs with unchanged per-element order, and
 // the Gram–Schmidt fallback is serial.
 func orthonormalizeW(a *Matrix, workers int) *Matrix {
+	var s orthoScratch
+	return s.orthonormalize(a, workers)
+}
+
+// cholQRMinWork is the m·n² from which orthonormalization tries
+// Cholesky-QR before Gram–Schmidt. The two produce different (equally
+// orthonormal) bases, so unlike parallelThreshold this value is part of
+// what the pinned factor hashes pin.
+const cholQRMinWork = 1 << 18
+
+// orthoScratch holds the temporaries of orthonormalizeW — the transposed
+// block, whose rows are the columns being orthonormalized, and the Gram
+// matrix and Cholesky factor of Cholesky-QR — so a caller that
+// orthonormalizes same-shaped blocks in a loop allocates them once. The
+// zero value is ready to use.
+type orthoScratch struct {
+	g, rt, cols *Matrix
+}
+
+func (s *orthoScratch) orthonormalize(a *Matrix, workers int) *Matrix {
 	m, n := a.Dims()
 	if m < n {
 		panic(fmt.Sprintf("mat: Orthonormalize requires rows ≥ cols, got %d×%d", m, n))
 	}
-	if m*n*n >= parallelThreshold {
-		if cholQR(a, workers) && cholQR(a, workers) {
+	if m*n*n >= cholQRMinWork {
+		if s.cholQR(a, workers) && s.cholQR(a, workers) {
 			return a
 		}
 	}
+	// Row j of at is column j of a.
+	at := scratch(&s.cols, n, m)
+	a.transposeInto(at)
 	cols := make([][]float64, n)
 	for j := range n {
-		cols[j] = a.Col(j)
+		cols[j] = at.Row(j)
 	}
 	for j := range n {
 		// Two passes of projection for numerical robustness.
@@ -148,44 +171,74 @@ func orthonormalizeW(a *Matrix, workers int) *Matrix {
 }
 
 // cholQR performs one round of Cholesky-QR in place: G = AᵀA = RᵀR,
-// A ← A·R⁻¹. Returns false (leaving a partially modified only in G, not
-// in A) when the Gram matrix is not safely positive definite; callers
-// fall back to Gram–Schmidt.
-func cholQR(a *Matrix, workers int) bool {
+// A ← A·R⁻¹. Returns false (leaving a untouched) when the Gram matrix is
+// not safely positive definite; callers fall back to Gram–Schmidt.
+func (s *orthoScratch) cholQR(a *Matrix, workers int) bool {
 	m, n := a.Dims()
-	g := tmulW(a, a, workers)
-	// In-place Cholesky G = RᵀR (upper triangular R stored in g).
+	// Only the upper triangle of G is read below. Its elements are inner
+	// products of columns of a, taken along rows of the transpose.
+	at := scratch(&s.cols, n, m)
+	a.transposeInto(at)
+	g := scratch(&s.g, n, n)
+	symUpperInto(g, at, workers, true)
+	// Cholesky G = RᵀR, row j of R at a time, written as column j of the
+	// lower-triangular Rᵀ: both inner products then run along rows of Rᵀ
+	// instead of down columns of R.
+	rt := scratch(&s.rt, n, n)
 	for j := range n {
-		d := g.At(j, j)
-		for k := range j {
-			d -= g.At(k, j) * g.At(k, j)
+		rj := rt.data[j*n : j*n+j]
+		gjj := g.data[j*n+j]
+		d := gjj
+		for _, r := range rj {
+			d -= r * r
 		}
-		if d <= 1e-12*g.At(j, j) || d <= 0 {
+		if d <= 1e-12*gjj || d <= 0 {
 			return false
 		}
 		rjj := math.Sqrt(d)
-		g.Set(j, j, rjj)
+		rt.data[j*n+j] = rjj
 		for c := j + 1; c < n; c++ {
-			v := g.At(j, c)
-			for k := range j {
-				v -= g.At(k, j) * g.At(k, c)
+			rc := rt.data[c*n : c*n+j]
+			v := g.data[j*n+c]
+			for k, r := range rj {
+				v -= r * rc[k]
 			}
-			g.Set(j, c, v/rjj)
+			rt.data[c*n+j] = v / rjj
 		}
 	}
-	// A ← A·R⁻¹ by forward substitution per row, parallel across rows.
+	// A ← A·R⁻¹ by forward substitution per row, in place — entry j of
+	// the solution needs entry j of the row and the solution before j —
+	// and parallel across rows. Four rows share each pass over Rᵀ: each
+	// entry is a chain of dependent subtractions, and four independent
+	// chains keep the subtractor busy while one waits.
 	parallelForW(m, m*n*n/2, workers, func(lo, hi int) {
-		x := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			rows := a.data[i*n : (i+4)*n]
+			x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
 			for j := range n {
-				v := row[j]
-				for k := range j {
-					v -= x[k] * g.At(k, j)
+				rj := rt.data[j*n : j*n+j+1]
+				v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
+				for k, r := range rj[:j] {
+					v0 -= x0[k] * r
+					v1 -= x1[k] * r
+					v2 -= x2[k] * r
+					v3 -= x3[k] * r
 				}
-				x[j] = v / g.At(j, j)
+				rjj := rj[j]
+				x0[j], x1[j], x2[j], x3[j] = v0/rjj, v1/rjj, v2/rjj, v3/rjj
 			}
-			copy(row, x)
+		}
+		for ; i < hi; i++ {
+			x := a.data[i*n : (i+1)*n]
+			for j := range n {
+				rj := rt.data[j*n : j*n+j+1]
+				v := x[j]
+				for k, r := range rj[:j] {
+					v -= x[k] * r
+				}
+				x[j] = v / rj[j]
+			}
 		}
 	})
 	return true

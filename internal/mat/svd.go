@@ -117,7 +117,7 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 	}
 	if m <= n {
 		// Left side is smaller: iterate on AAᵀ.
-		eig := SubspaceIteration(GramOperator{W: a}, k, opts)
+		eig := SubspaceIteration(&GramOperator{W: a}, k, opts)
 		s := make([]float64, k)
 		u := eig.Vectors
 		for j := range k {
@@ -138,7 +138,7 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		return &SVD{U: u, S: s, V: v}
 	}
 	// Right side is smaller: iterate on AᵀA.
-	eig := SubspaceIteration(gramTOperator{w: a}, k, opts)
+	eig := SubspaceIteration(&gramTOperator{w: a}, k, opts)
 	s := make([]float64, k)
 	v := eig.Vectors
 	for j := range k {
@@ -164,35 +164,11 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 // parallel with interleaved rows to balance the triangular workload.
 func SymMulT(a *Matrix) *Matrix { return symMulTW(a, 0) }
 
-// symMulTW is SymMulT with an explicit worker bound; one Dot per output
-// element keeps the product bit-identical for every worker count.
-func symMulTW(a *Matrix, maxWorkers int) *Matrix {
-	m, n := a.Dims()
+// symMulTW is SymMulT with an explicit worker bound.
+func symMulTW(a *Matrix, workers int) *Matrix {
+	m := a.rows
 	g := New(m, m)
-	workers := 1
-	if m*m*n/2 >= parallelThreshold {
-		workers = Workers(maxWorkers)
-		if workers > m {
-			workers = m
-		}
-	}
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Stride rows by worker id: row i costs (m−i) dot products,
-			// so striding interleaves cheap and expensive rows.
-			for i := w; i < m; i += workers {
-				ri := a.Row(i)
-				grow := g.Row(i)
-				for j := i; j < m; j++ {
-					grow[j] = Dot(ri, a.Row(j))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	symUpperInto(g, a, workers, false)
 	// Mirror the lower triangle.
 	for i := range m {
 		for j := range i {
@@ -200,6 +176,39 @@ func symMulTW(a *Matrix, maxWorkers int) *Matrix {
 		}
 	}
 	return g
+}
+
+// symUpperInto overwrites the upper triangle of g — the elements on and
+// above the diagonal, and no others — with that of a·aᵀ. Every element is
+// the inner product of two rows of a, four per pass (Dot's sum, or with
+// skipZero the sum without the terms whose left factor is zero), which
+// keeps it bit-identical for every worker count.
+func symUpperInto(g, a *Matrix, maxWorkers int, skipZero bool) {
+	m, n := a.Dims()
+	workers := 1
+	if m*m*n/2 >= parallelThreshold {
+		workers = min(Workers(maxWorkers), m)
+	}
+	// Stride rows by worker id: row i costs (m−i) inner products, so
+	// striding interleaves cheap and expensive rows.
+	rows := func(w int) {
+		for i := w; i < m; i += workers {
+			dotRows(g.Row(i), a.Row(i), a, i, m, skipZero)
+		}
+	}
+	if workers == 1 {
+		rows(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // LeftSVD computes only the k leading left singular vectors and singular
@@ -274,18 +283,26 @@ func gramEig(g *Matrix, k int, opts SubspaceOptions) *Eigen {
 	if n <= 96 || k*3 >= n {
 		return symEigAuto(g)
 	}
-	return SubspaceIteration(MatrixOperator{M: g}, k, opts)
+	return SubspaceIteration(&MatrixOperator{M: g}, k, opts)
 }
 
 // gramTOperator represents WᵀW as an operator.
-type gramTOperator struct{ w *Matrix }
+type gramTOperator struct {
+	w         *Matrix
+	qt, t, zt *Matrix // qᵀ, W·q and (Wᵀ·W·q)ᵀ
+}
 
-func (o gramTOperator) Dim() int { return o.w.Cols() }
+func (o *gramTOperator) Dim() int { return o.w.Cols() }
 
-func (o gramTOperator) Apply(x, y []float64) {
-	t := o.w.MulVec(x)
-	r := o.w.TMulVec(t)
-	copy(y, r)
+// ApplyBlock computes z = Wᵀ·(W·q).
+func (o *gramTOperator) ApplyBlock(q, z *Matrix, workers int) {
+	qt := scratch(&o.qt, q.cols, q.rows)
+	q.transposeInto(qt)
+	t := scratch(&o.t, o.w.rows, q.cols)
+	mulTInto(t, o.w, qt, workers, false)
+	zt := scratch(&o.zt, q.cols, o.w.cols)
+	tmulInto(zt, t, o.w, workers)
+	zt.transposeInto(z)
 }
 
 // Reconstruct returns U·diag(S)·Vᵀ, useful in tests.

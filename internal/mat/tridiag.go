@@ -34,9 +34,9 @@ func SymEigTridiag(a *Matrix) *Eigen {
 // diagonal and e the subdiagonal (e[0] unused). Adapted from the EISPACK
 // routine as presented in Numerical Recipes / JAMA.
 func tred2(z *Matrix, d, e []float64) {
-	n := z.Rows()
+	n, zd := z.rows, z.data
 	for j := range n {
-		d[j] = z.At(n-1, j)
+		d[j] = zd[(n-1)*n+j]
 	}
 	for i := n - 1; i > 0; i-- {
 		var scale, h float64
@@ -46,9 +46,9 @@ func tred2(z *Matrix, d, e []float64) {
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := range i {
-				d[j] = z.At(i-1, j)
-				z.Set(i, j, 0)
-				z.Set(j, i, 0)
+				d[j] = zd[(i-1)*n+j]
+				zd[i*n+j] = 0
+				zd[j*n+i] = 0
 			}
 		} else {
 			for k := range i {
@@ -68,11 +68,11 @@ func tred2(z *Matrix, d, e []float64) {
 			}
 			for j := range i {
 				f = d[j]
-				z.Set(j, i, f)
-				g = e[j] + z.At(j, j)*f
+				zd[j*n+i] = f
+				g = e[j] + zd[j*n+j]*f
 				for k := j + 1; k <= i-1; k++ {
-					g += z.At(k, j) * d[k]
-					e[k] += z.At(k, j) * f
+					g += zd[k*n+j] * d[k]
+					e[k] += zd[k*n+j] * f
 				}
 				e[j] = g
 			}
@@ -89,41 +89,41 @@ func tred2(z *Matrix, d, e []float64) {
 				f = d[j]
 				g = e[j]
 				for k := j; k <= i-1; k++ {
-					z.Set(k, j, z.At(k, j)-(f*e[k]+g*d[k]))
+					zd[k*n+j] = zd[k*n+j] - (f*e[k] + g*d[k])
 				}
-				d[j] = z.At(i-1, j)
-				z.Set(i, j, 0)
+				d[j] = zd[(i-1)*n+j]
+				zd[i*n+j] = 0
 			}
 		}
 		d[i] = h
 	}
 	for i := 0; i < n-1; i++ {
-		z.Set(n-1, i, z.At(i, i))
-		z.Set(i, i, 1)
+		zd[(n-1)*n+i] = zd[i*n+i]
+		zd[i*n+i] = 1
 		h := d[i+1]
 		if h != 0 {
 			for k := 0; k <= i; k++ {
-				d[k] = z.At(k, i+1) / h
+				d[k] = zd[k*n+i+1] / h
 			}
 			for j := 0; j <= i; j++ {
 				var g float64
 				for k := 0; k <= i; k++ {
-					g += z.At(k, i+1) * z.At(k, j)
+					g += zd[k*n+i+1] * zd[k*n+j]
 				}
 				for k := 0; k <= i; k++ {
-					z.Set(k, j, z.At(k, j)-g*d[k])
+					zd[k*n+j] = zd[k*n+j] - g*d[k]
 				}
 			}
 		}
 		for k := 0; k <= i; k++ {
-			z.Set(k, i+1, 0)
+			zd[k*n+i+1] = 0
 		}
 	}
 	for j := range n {
-		d[j] = z.At(n-1, j)
-		z.Set(n-1, j, 0)
+		d[j] = zd[(n-1)*n+j]
+		zd[(n-1)*n+j] = 0
 	}
-	z.Set(n-1, n-1, 1)
+	zd[(n-1)*n+n-1] = 1
 	e[0] = 0
 }
 
@@ -131,7 +131,7 @@ func tred2(z *Matrix, d, e []float64) {
 // diagonal d and subdiagonal e (e[0] unused), with eigenvectors accumulated
 // into z (which must contain the tred2 transformation on entry).
 func tql2(z *Matrix, d, e []float64) {
-	n := z.Rows()
+	n, zd := z.rows, z.data
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -186,9 +186,9 @@ func tql2(z *Matrix, d, e []float64) {
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
 					for k := range n {
-						h = z.At(k, i+1)
-						z.Set(k, i+1, s*z.At(k, i)+c*h)
-						z.Set(k, i, c*z.At(k, i)-s*h)
+						h = zd[k*n+i+1]
+						zd[k*n+i+1] = s*zd[k*n+i] + c*h
+						zd[k*n+i] = c*zd[k*n+i] - s*h
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -49,6 +50,7 @@ func BenchmarkProjectedUnfoldMode2(b *testing.B) {
 	f := benchSparse(400, 300, 500, 20000)
 	y1 := benchFactor(400, 32, 3)
 	y3 := benchFactor(500, 32, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		ProjectedUnfold(f, 2, y1, y3)
@@ -66,17 +68,22 @@ func BenchmarkCore(b *testing.B) {
 	}
 }
 
-func BenchmarkUnfoldingGramApply(b *testing.B) {
+// BenchmarkUnfoldingGramApplyBlock measures one block apply of the
+// sparse HOSVD operator at the two block widths of the wide_* benchmark
+// corpus (mode 2 and mode 3).
+func BenchmarkUnfoldingGramApplyBlock(b *testing.B) {
 	f := benchSparse(400, 300, 500, 20000)
 	op := UnfoldingGram(f, 2)
-	x := make([]float64, 300)
-	y := make([]float64, 300)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ResetTimer()
-	for range b.N {
-		op.Apply(x, y)
+	for _, width := range []int{18, 56} {
+		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
+			q := benchFactor(300, width, 8)
+			z := mat.New(300, width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				op.ApplyBlock(q, z, 0)
+			}
+		})
 	}
 }
 

@@ -2,136 +2,157 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mat"
 )
 
 // UnfoldingGram returns the Gram matrix of the mode-n unfolding,
-// G = F₍ₙ₎·F₍ₙ₎ᵀ, as a symmetric mat.Operator that applies in O(nnz)
-// time per product plus a scratch pass over the touched fiber space.
-// This lets HOSVD initialization extract leading singular vectors of the
-// raw unfoldings without ever materializing them (the mode-2 unfolding of
-// the Last.fm-scale tensor would have ~10⁷ columns).
+// G = F₍ₙ₎·F₍ₙ₎ᵀ, as a symmetric mat.Operator whose block apply costs
+// O(nnz·b) per product. This lets HOSVD initialization extract leading
+// singular vectors of the raw unfoldings without ever materializing them
+// (the mode-2 unfolding of the Last.fm-scale tensor would have ~10⁷
+// columns).
 //
-// The operator is safe for concurrent Apply calls — each call checks a
-// private scratch buffer out of a pool — so subspace iteration can fan
-// its block columns across a worker pool. Because one scratch buffer
-// spans the whole fiber space (~10⁷ cells for the Last.fm mode-2
-// unfolding), concurrent applies are bounded by a small semaphore
-// independent of the worker count: peak scratch memory is
-// maxGramScratch buffers, not one per worker.
+// A fiber is a column of the unfolding: the entries that agree in the
+// two indices other than mode. The operator numbers the nonempty fibers
+// and keeps the entries in two orders, grouped by fiber and grouped by
+// mode-n index, each group in storage order. G·Q is then two sparse
+// products, S = F₍ₙ₎ᵀ·Q into a scratch with one row per nonempty fiber
+// and Z = F₍ₙ₎·S, and in each a worker owns whole output rows and sums
+// them in storage order — the sums a serial pass over the entries
+// makes, on every worker count.
 func UnfoldingGram(f *Sparse3, mode int) mat.Operator {
 	i1, i2, i3 := f.Dims()
-	op := &unfoldGramOp{f: f, mode: mode, sem: make(chan struct{}, maxGramScratch)}
-	var scratchLen int
+	var dim int
+	var split func(Entry) (row, fiber int)
 	switch mode {
 	case 1:
-		op.dim = i1
-		scratchLen = i2 * i3
+		dim = i1
+		split = func(e Entry) (int, int) { return e.I, e.J*i3 + e.K }
 	case 2:
-		op.dim = i2
-		scratchLen = i1 * i3
+		dim = i2
+		split = func(e Entry) (int, int) { return e.J, e.I*i3 + e.K }
 	case 3:
-		op.dim = i3
-		scratchLen = i1 * i2
+		dim = i3
+		split = func(e Entry) (int, int) { return e.K, e.I*i2 + e.J }
 	default:
 		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
 	}
-	op.pool.New = func() any {
-		return &gramScratch{buf: make([]float64, scratchLen)}
+	entries := f.Entries()
+	rows := make([]int32, len(entries))
+	fibers := make([]int32, len(entries))
+	vals := make([]float64, len(entries))
+	fiberID := make(map[int]int32, len(entries))
+	for n, e := range entries {
+		row, fiber := split(e)
+		id, ok := fiberID[fiber]
+		if !ok {
+			id = int32(len(fiberID))
+			fiberID[fiber] = id
+		}
+		rows[n], fibers[n], vals[n] = int32(row), id, e.V
 	}
-	return op
+	return &unfoldGramOp{
+		dim:     dim,
+		byFiber: groupEntries(len(fiberID), fibers, rows, vals),
+		byRow:   groupEntries(dim, rows, fibers, vals),
+	}
 }
 
-// maxGramScratch caps how many fiber-space scratch buffers can be live
-// at once across concurrent Apply calls. The entry passes are cheap
-// relative to the dense factor work around them, so a small cap costs
-// little parallelism while keeping memory at a few buffers regardless
-// of GOMAXPROCS.
-const maxGramScratch = 4
-
-// gramScratch is the per-Apply workspace: a dense fiber-space buffer and
-// the list of cells touched by the last pass (so clearing is O(touched),
-// not O(fiber space)).
-type gramScratch struct {
-	buf     []float64
-	touched []int
-}
+// gramPanel is the widest slice of the block one pass handles. The fiber
+// scratch is one panel wide, so its size is set by the tensor and not by
+// the block; 32 columns keep a scratch row within four cache lines.
+const gramPanel = 32
 
 type unfoldGramOp struct {
-	f    *Sparse3
-	mode int
-	dim  int
-	pool sync.Pool
-	// sem bounds concurrent applies so at most maxGramScratch scratch
-	// buffers exist at a time; excess callers block until one frees.
-	sem chan struct{}
+	dim            int
+	byFiber, byRow grouped
+	scratch        []float64 // fibers × min(b, gramPanel), row-major
 }
 
 func (o *unfoldGramOp) Dim() int { return o.dim }
 
-// ConcurrencySafe marks the operator safe for concurrent Apply calls.
-func (o *unfoldGramOp) ConcurrencySafe() bool { return true }
+// ApplyBlock computes z = F₍ₙ₎·(F₍ₙ₎ᵀ·q), one column panel at a time.
+func (o *unfoldGramOp) ApplyBlock(q, z *mat.Matrix, workers int) {
+	_, b := q.Dims()
+	fibers := o.byFiber.groups()
+	width := min(b, gramPanel)
+	if cap(o.scratch) < fibers*width {
+		o.scratch = make([]float64, fibers*width)
+	}
+	for lo := 0; lo < b; lo += width {
+		w := min(width, b-lo)
+		s := panel{data: o.scratch[:fibers*w], stride: w, w: w}
+		o.byFiber.multiply(s, panel{data: q.Data(), stride: b, lo: lo, w: w}, workers)
+		o.byRow.multiply(panel{data: z.Data(), stride: b, lo: lo, w: w}, s, workers)
+	}
+}
 
-// Apply computes y = F₍ₙ₎·(F₍ₙ₎ᵀ·x) in two passes over the entries,
-// clearing only the scratch cells it touched. The mode switch is hoisted
-// out of the per-entry loops: this operator runs hot during HOSVD
-// initialization.
-func (o *unfoldGramOp) Apply(x, y []float64) {
-	o.sem <- struct{}{}
-	defer func() { <-o.sem }()
-	s := o.pool.Get().(*gramScratch)
-	defer o.pool.Put(s)
-	entries := o.f.Entries()
-	_, i2, i3 := o.f.Dims()
-	scratch := s.buf
-	s.touched = s.touched[:0]
-	switch o.mode {
-	case 1:
-		for _, e := range entries {
-			c := e.J*i3 + e.K
-			if scratch[c] == 0 {
-				s.touched = append(s.touched, c)
-			}
-			scratch[c] += e.V * x[e.I]
-		}
-		for i := range y {
-			y[i] = 0
-		}
-		for _, e := range entries {
-			y[e.I] += e.V * scratch[e.J*i3+e.K]
-		}
-	case 2:
-		for _, e := range entries {
-			c := e.I*i3 + e.K
-			if scratch[c] == 0 {
-				s.touched = append(s.touched, c)
-			}
-			scratch[c] += e.V * x[e.J]
-		}
-		for i := range y {
-			y[i] = 0
-		}
-		for _, e := range entries {
-			y[e.J] += e.V * scratch[e.I*i3+e.K]
-		}
-	case 3:
-		for _, e := range entries {
-			c := e.I*i2 + e.J
-			if scratch[c] == 0 {
-				s.touched = append(s.touched, c)
-			}
-			scratch[c] += e.V * x[e.K]
-		}
-		for i := range y {
-			y[i] = 0
-		}
-		for _, e := range entries {
-			y[e.K] += e.V * scratch[e.I*i2+e.J]
-		}
+// panel is columns [lo, lo+w) of a row-major matrix with stride values
+// per row.
+type panel struct {
+	data          []float64
+	stride, lo, w int
+}
+
+func (p panel) row(r int) []float64 { return p.data[r*p.stride+p.lo:][:p.w] }
+
+// grouped is a sparse matrix in compressed-row form: group g owns
+// entries starts[g]..starts[g+1], each a value and the index of the
+// input row it multiplies.
+type grouped struct {
+	starts []int
+	src    []int32
+	val    []float64
+}
+
+func (g grouped) groups() int { return len(g.starts) - 1 }
+
+// groupEntries buckets the entries by key with a stable counting sort,
+// so each group keeps them in the order they came in.
+func groupEntries(groups int, key, src []int32, val []float64) grouped {
+	g := grouped{
+		starts: make([]int, groups+1),
+		src:    make([]int32, len(key)),
+		val:    make([]float64, len(key)),
 	}
-	for _, c := range s.touched {
-		scratch[c] = 0
+	for _, k := range key {
+		g.starts[k+1]++
 	}
+	for k := range groups {
+		g.starts[k+1] += g.starts[k]
+	}
+	fill := append([]int(nil), g.starts[:groups]...)
+	for n, k := range key {
+		g.src[fill[k]], g.val[fill[k]] = src[n], val[n]
+		fill[k]++
+	}
+	return g
+}
+
+// multiply overwrites out with the product of g and in: row r of out
+// becomes 0 + v₀·in[s₀] + v₁·in[s₁] + … over group r's entries in order.
+func (g grouped) multiply(out, in panel, workers int) {
+	parallelRows(g.starts, len(g.src)*out.w, workers, func(first, last int) {
+		for r := first; r < last; r++ {
+			dst := out.row(r)
+			clear(dst)
+			n, end := g.starts[r], g.starts[r+1]
+			// Two entries per pass over dst; d + v₀x₀ + v₁x₁ is evaluated
+			// left to right, the order two passes would add in.
+			for ; n+2 <= end; n += 2 {
+				v0, v1 := g.val[n], g.val[n+1]
+				x0, x1 := in.row(int(g.src[n]))[:len(dst)], in.row(int(g.src[n+1]))[:len(dst)]
+				for j, d := range dst {
+					dst[j] = d + v0*x0[j] + v1*x1[j]
+				}
+			}
+			if n < end {
+				v, x := g.val[n], in.row(int(g.src[n]))[:len(dst)]
+				for j := range dst {
+					dst[j] += v * x[j]
+				}
+			}
+		}
+	})
 }

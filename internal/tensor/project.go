@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/mat"
@@ -76,42 +77,55 @@ func ProjectedUnfoldWorkers(f *Sparse3, mode int, ya, yb *mat.Matrix, workers in
 	}
 
 	w := mat.New(rows, cols)
-	parallelRows(rows, len(entries)*cols, workers, func(lo, hi int) {
+	parallelRows(starts, len(entries)*cols, workers, func(lo, hi int) {
+		term := func(idx int) outerTerm {
+			e := entries[idx]
+			_, ia, ib := rowOf(e)
+			return outerTerm{v: e.V, ra: ya.Row(ia), rb: yb.Row(ib)}
+		}
 		for r := lo; r < hi; r++ {
 			dst := w.Row(r)
-			for _, idx := range order[starts[r]:starts[r+1]] {
-				e := entries[idx]
-				_, ia, ib := rowOf(e)
-				accumOuter(dst, e.V, ya.Row(ia), yb.Row(ib))
+			row := order[starts[r]:starts[r+1]]
+			n := 0
+			for ; n+4 <= len(row); n += 4 {
+				accumOuter4(dst, [4]outerTerm{term(row[n]), term(row[n+1]), term(row[n+2]), term(row[n+3])})
+			}
+			for ; n < len(row); n++ {
+				t := term(row[n])
+				accumOuter(dst, t.v, t.ra, t.rb)
 			}
 		}
 	})
 	return w
 }
 
-// parallelRows splits [0, n) across a bounded worker pool when cost (an
-// op-count estimate) warrants it. maxWorkers ≤ 0 means GOMAXPROCS.
-func parallelRows(n, cost, maxWorkers int, fn func(lo, hi int)) {
-	workers := mat.Workers(maxWorkers)
-	if cost < 1<<18 || workers <= 1 || n < 2 {
-		fn(0, n)
+// parallelRows runs fn over [0, rows) split into one contiguous run of
+// rows per worker when cost (an op-count estimate) warrants it; row
+// r holds entries starts[r]..starts[r+1], and the runs are cut so each
+// holds about the same number of entries — tag and resource popularity
+// is Zipf-skewed, so equal row counts would leave most of the work with
+// one worker. maxWorkers ≤ 0 means GOMAXPROCS.
+func parallelRows(starts []int, cost, maxWorkers int, fn func(lo, hi int)) {
+	rows := len(starts) - 1
+	workers := min(mat.Workers(maxWorkers), rows)
+	if cost < 1<<16 || workers <= 1 {
+		fn(0, rows)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
+	nnz := starts[rows]
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	lo := 0
+	for p := 1; p <= workers; p++ {
+		hi := rows
+		if p < workers {
+			hi = sort.SearchInts(starts, p*nnz/workers)
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
 		}(lo, hi)
+		lo = hi
 	}
 	wg.Wait()
 }
@@ -133,6 +147,36 @@ func accumOuter(dst []float64, v float64, ra, rb []float64) {
 		seg := dst[a*len(rb) : (a+1)*len(rb)]
 		for b, vb := range rb {
 			seg[b] += s * vb
+		}
+	}
+}
+
+// outerTerm is one sparse entry's contribution v · (ra ⊗ rb) to a row of
+// a projected unfolding.
+type outerTerm struct {
+	v      float64
+	ra, rb []float64
+}
+
+// accumOuter4 adds four terms to dst in one pass, leaving in every
+// element the bits four accumOuter calls in the same order would: the sum
+// d + s₀b₀ + s₁b₁ + s₂b₂ + s₃b₃ is evaluated left to right, and a segment
+// in which some scale sᵢ is zero — which accumOuter skips — is handed
+// back to it term by term.
+func accumOuter4(dst []float64, t [4]outerTerm) {
+	nb := len(t[0].rb)
+	rb0, rb1, rb2, rb3 := t[0].rb, t[1].rb[:nb], t[2].rb[:nb], t[3].rb[:nb]
+	for a := range t[0].ra {
+		s0, s1, s2, s3 := t[0].v*t[0].ra[a], t[1].v*t[1].ra[a], t[2].v*t[2].ra[a], t[3].v*t[3].ra[a]
+		seg := dst[a*nb : (a+1)*nb]
+		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
+			for _, x := range t {
+				accumOuter(seg, x.v, x.ra[a:a+1], x.rb)
+			}
+			continue
+		}
+		for b, d := range seg {
+			seg[b] = d + s0*rb0[b] + s1*rb1[b] + s2*rb2[b] + s3*rb3[b]
 		}
 	}
 }

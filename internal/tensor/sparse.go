@@ -1,7 +1,11 @@
 // Package tensor implements dense and sparse third-order tensors together
 // with the multilinear kernels CubeLSI needs: mode-n unfoldings, n-mode
 // products by matrices, projected unfoldings computed directly from sparse
-// coordinate data, and Frobenius norms.
+// coordinate data, and Frobenius norms. The two sparse kernels under a
+// decomposition — ProjectedUnfoldWorkers and the block apply of
+// UnfoldingGram — bucket the entries by output row and sum each row in
+// storage order, several terms per pass, so their results are
+// bit-identical to a serial pass over the entries on every worker count.
 //
 // Dimension convention follows the paper: mode 1 indexes users, mode 2
 // indexes tags, and mode 3 indexes resources, so a tag assignment

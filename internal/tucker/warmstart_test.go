@@ -25,10 +25,14 @@ func perturb(f *tensor.Sparse3, extra int, seed int64) *tensor.Sparse3 {
 	return out
 }
 
-// TestWarmStartConvergesInFewerSweeps is the headline property: warm
-// starting from the converged factors of a nearly identical tensor must
-// trip the fit-improvement stopping rule in fewer sweeps than a cold
-// start, while reaching an equally good fit.
+// TestWarmStartConvergesInFewerSweeps holds on this fixture — a small
+// random tensor, a loose Tol of 1e-6 and room for 60 sweeps: warm
+// starting from the converged factors of a nearly identical tensor trips
+// the fit-improvement stopping rule in fewer sweeps than a cold start,
+// while reaching an equally good fit. It is not what the benchmark
+// corpora show: at the default Tol of 1e-7 and MaxSweeps of 12 their
+// cold and warm runs both stop at the cap (ROADMAP item 3), and what a
+// warm start saves there is the HOSVD initialisation.
 func TestWarmStartConvergesInFewerSweeps(t *testing.T) {
 	f := mediumTensor(3)
 	opts := Options{J1: 8, J2: 10, J3: 9, Seed: 1, MaxSweeps: 60, Tol: 1e-6}

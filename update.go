@@ -157,7 +157,9 @@ func (idx *Index) TagSupport() map[string]int {
 // Apply folds an assignment delta into the corpus and publishes a new
 // engine snapshot: the tensor is rebuilt from the updated assignment
 // log, the ALS decomposition warm-starts from the previous factor
-// matrices (converging in fewer sweeps than a cold build), tag
+// matrices (skipping the HOSVD initialisation of a cold build; the sweep
+// count is reported in UpdateReport.Sweeps and on the benchmark corpora
+// is the MaxSweeps cap either way — ROADMAP item 3), tag
 // embedding rows are recomputed and compared — after Procrustes
 // alignment — against the previous embedding, and only tags that moved
 // beyond the threshold are re-clustered; everything else keeps its
