@@ -1,15 +1,12 @@
 GO ?= go
 
-# Preset for the tracked offline benchmark; CI smoke-tests with tiny.
-BENCH_PRESET ?= lastfm
-
 # The tracked microbenchmarks: `make bench` measures them, `make
 # bench-once` (part of `make check` and the CI test job) runs each for a
 # single iteration so none can stop compiling or start failing unseen.
 BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|EngineBuild|EngineSearch|SymMulT|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
 BENCH_PKGS = ./internal/embed/ ./internal/ir/ ./internal/retrieve/ ./internal/mat/ ./internal/tensor/ ./internal/tucker/ .
 
-.PHONY: build test bench bench-once bench-smoke bench-check vet vet-custom check fmt fuzz lint e2e-replicate
+.PHONY: build test bench bench-once bench-check vet vet-custom check fmt fuzz lint e2e-replicate
 
 build:
 	$(GO) build ./...
@@ -55,18 +52,10 @@ lint:
 test: vet
 	$(GO) test -race ./...
 
-# bench runs the key microbenchmarks and then records the offline
-# trajectory (build time, model size v1 vs v2, query latency) in
-# BENCH_offline.json so perf is tracked across PRs.
+# bench measures the tracked microbenchmarks. The end-to-end benchmark
+# is `go run -C bench repro/bench` (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_REGEX)' -benchmem $(BENCH_PKGS)
-	$(GO) run ./cmd/benchoffline -preset $(BENCH_PRESET) -out BENCH_offline.json
-
-# bench-smoke is the CI-sized version: tiny preset, same artifact. The
-# ANN section is skipped — it generates 10⁴/10⁵-tag corpora, minutes of
-# work that belongs in the full `make bench` run.
-bench-smoke:
-	$(GO) run ./cmd/benchoffline -preset tiny -scale-tags 1000,5000 -skip-ann -out BENCH_offline.json
 
 # e2e-replicate runs one cubelsiserve writer and two read-only replicas,
 # streams a delta log through /stream, and asserts both replicas converge

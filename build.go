@@ -117,10 +117,8 @@ type buildSettings struct {
 	tuckerWorkers int
 	sketch        tucker.SketchOptions
 
-	// Incremental-lifecycle knobs, consumed by NewIndex and Index.Apply.
-	moveThreshold    float64
-	maxMovedFraction float64
-	prevModel        *Engine
+	// prevModel warm-starts the initial NewIndex build.
+	prevModel *Engine
 
 	// err is the first option-validation failure; Build and NewIndex
 	// surface it before touching the corpus.
@@ -188,24 +186,6 @@ func WithSketch(oversample, powerIters int) BuildOption {
 			PowerIters: powerIters,
 		}
 	}
-}
-
-// WithMoveThreshold tunes the incremental re-clustering of Index.Apply:
-// a tag is re-clustered when its embedding row moved (after Procrustes
-// alignment of the new embedding onto the previous one) by more than
-// this fraction of its previous norm. Zero keeps the default (0.02);
-// negative re-clusters every tag on every update. One-shot Build
-// ignores it.
-func WithMoveThreshold(t float64) BuildOption {
-	return func(s *buildSettings) { s.moveThreshold = t }
-}
-
-// WithMaxMovedFraction bounds the incremental path of Index.Apply: when
-// more than this fraction of tags moved beyond the threshold, the
-// update falls back to a full k-means re-clustering. Zero keeps the
-// default (0.25). One-shot Build ignores it.
-func WithMaxMovedFraction(f float64) BuildOption {
-	return func(s *buildSettings) { s.maxMovedFraction = f }
 }
 
 // WithPreviousModel warm-starts the initial NewIndex build from a

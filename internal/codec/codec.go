@@ -161,7 +161,7 @@ type Model struct {
 	Embedding *mat.Matrix
 	// Distances is the dense |T|×|T| distance matrix D̂ of legacy v1
 	// streams. Read populates it only for v1 input; Write ignores it
-	// (WriteV1 exists for tests and migration tooling).
+	// (WriteV1 exists for tests).
 	Distances *mat.Matrix
 	// Assign maps tag id → concept id; K is the concept count.
 	Assign []int
@@ -205,9 +205,8 @@ func Write(w io.Writer, m *Model) error {
 // nil: silently dropping an explicitly attached section would turn a
 // personalized model into an unpersonalized one without a trace.
 //
-// Deprecated: WriteV4 exists so tests, migration tooling and the fuzz
-// corpus can produce v4 streams; new models should always be written
-// with Write.
+// Deprecated: WriteV4 exists so tests and the fuzz corpus can produce
+// v4 streams; new models should always be written with Write.
 func WriteV4(w io.Writer, m *Model) error {
 	if m.Embedding == nil {
 		return fmt.Errorf("codec: write: model has no tag embedding (v2+ requires one; see embed.FromDecomposition)")
@@ -222,9 +221,8 @@ func WriteV4(w io.Writer, m *Model) error {
 // embedding plus the lifecycle header and warm-start factors, without
 // the v4 aligned layout or quantized sections.
 //
-// Deprecated: WriteV3 exists so tests, migration tooling and the fuzz
-// corpus can produce v3 streams; new models should always be written
-// with Write.
+// Deprecated: WriteV3 exists so tests and the fuzz corpus can produce
+// v3 streams; new models should always be written with Write.
 func WriteV3(w io.Writer, m *Model) error {
 	if m.Embedding == nil {
 		return fmt.Errorf("codec: write: model has no tag embedding (v2+ requires one; see embed.FromDecomposition)")
@@ -247,8 +245,8 @@ func WriteV2(w io.Writer, m *Model) error {
 // WriteV1 encodes the model in the legacy quadratic v1 format, with tag
 // semantics as the dense distance matrix. m.Distances must be set.
 //
-// Deprecated: WriteV1 exists so tests and migration tooling can produce
-// v1 streams; new models should always be written with Write.
+// Deprecated: WriteV1 exists so tests can produce v1 streams; new
+// models should always be written with Write.
 func WriteV1(w io.Writer, m *Model) error {
 	if m.Distances == nil {
 		return fmt.Errorf("codec: write: v1 requires the dense distance matrix")

@@ -76,35 +76,16 @@ func Tiny() Params {
 	}
 }
 
-// Tags10K targets a cleaned vocabulary of ~10⁴ tags — the first rung of
-// the ANN serving benchmarks. Unlike the paper analogues above, the
-// point is sheer vocabulary width: assignments are scaled just enough
-// (≈15 per word) that the long tail survives min-support cleaning, and
-// the Zipf exponent is kept low so popularity stays near-uniform across
-// the vocabulary instead of starving it.
+// Tags10K targets a cleaned vocabulary of ~10⁴ tags. Unlike the paper
+// analogues above, the point is sheer vocabulary width: assignments are
+// scaled just enough (≈15 per word) that the long tail survives
+// min-support cleaning, and the Zipf exponent is kept low so popularity
+// stays near-uniform across the vocabulary instead of starving it.
 func Tags10K() Params {
 	return Params{
 		Name: "tags10k", Seed: 45,
 		Categories: 10, ConceptsPerCategory: 25, WordsPerConcept: 44,
 		Users: 3000, Resources: 4000, Assignments: 160000,
-		MaxConceptsPerUser: 2, MaxConceptsPerResource: 2,
-		MinConceptsPerResource: 1, DualAspectRate: 0.85, CrossCategoryMix: 1, UserCategoryCoherence: 0.9,
-		UserVocabFraction: 0.5, SynonymBurst: 0.5, ResourceCoverage: 0.4, PolysemyRate: 0.35,
-		NoiseRate: 0.05, GibberishRate: 0.02, SystemRate: 0.015, CaseRate: 0.03,
-		ZipfS: 0.2,
-	}
-}
-
-// Tags100K targets a cleaned vocabulary of ~10⁵ tags, the scale at
-// which the exact O(|T|·k₂) RelatedTags scan becomes the serving
-// bottleneck the IVF index exists for. Assignment counts are scaled
-// with the vocabulary (not the paper corpora's density) so generating
-// the corpus stays bounded on one machine.
-func Tags100K() Params {
-	return Params{
-		Name: "tags100k", Seed: 46,
-		Categories: 40, ConceptsPerCategory: 30, WordsPerConcept: 95,
-		Users: 20000, Resources: 30000, Assignments: 1700000,
 		MaxConceptsPerUser: 2, MaxConceptsPerResource: 2,
 		MinConceptsPerResource: 1, DualAspectRate: 0.85, CrossCategoryMix: 1, UserCategoryCoherence: 0.9,
 		UserVocabFraction: 0.5, SynonymBurst: 0.5, ResourceCoverage: 0.4, PolysemyRate: 0.35,

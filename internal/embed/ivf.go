@@ -26,7 +26,8 @@ type Scorer interface {
 // coarse quantizer: every tag sits in the list of its nearest centroid,
 // and a query probes only the nprobe lists whose centroids are closest
 // to the probe tag. Rank quality is a measured trade (recall@k vs lists
-// probed), never assumed — benchoffline records the curve.
+// probed), never assumed — TestIVFRecallImprovesWithProbes checks the
+// curve.
 //
 // An IVF is immutable after NewIVF and safe for concurrent queries.
 type IVF struct {

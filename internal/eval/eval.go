@@ -159,66 +159,6 @@ func nearestNeighbors(d *mat.Matrix) []int {
 	return out
 }
 
-// PrecisionAtK returns the fraction of the first k ranked ids that are
-// relevant. Positions beyond the returned ranking count as misses, so a
-// short ranking is penalized, not excused. k ≤ 0 scores 0.
-func PrecisionAtK(relevant map[int]bool, ranked []int, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < k && i < len(ranked); i++ {
-		if relevant[ranked[i]] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
-// AveragePrecision returns the average of the precision at each
-// relevant hit's rank, divided by the total number of relevant ids —
-// the per-query summand of MAP. A query with no relevant ids scores 0.
-func AveragePrecision(relevant map[int]bool, ranked []int) float64 {
-	total := 0
-	for _, ok := range relevant {
-		if ok {
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	hits := 0
-	var sum float64
-	for i, d := range ranked {
-		if relevant[d] {
-			hits++
-			sum += float64(hits) / float64(i+1)
-		}
-	}
-	return sum / float64(total)
-}
-
-// MeanAveragePrecision is MAP over a query workload: the mean of
-// AveragePrecision across (relevant, ranked) pairs. The two slices must
-// be parallel; an empty workload scores 0. The rerank quality/latency
-// bench uses it with the exact full-depth ranking as the relevance
-// ground truth, so MAP = 1 means the two-stage pipeline reproduced the
-// exact top-N for every query.
-func MeanAveragePrecision(relevant []map[int]bool, ranked [][]int) float64 {
-	if len(relevant) != len(ranked) {
-		panic(fmt.Sprintf("eval: %d relevance sets for %d rankings", len(relevant), len(ranked)))
-	}
-	if len(relevant) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range relevant {
-		sum += AveragePrecision(relevant[i], ranked[i])
-	}
-	return sum / float64(len(relevant))
-}
-
 // DenseTensorBytes returns the storage a materialized purified tensor F̂
 // would need at 8 bytes per entry — the left column of Table VII.
 func DenseTensorBytes(i1, i2, i3 int) int64 {

@@ -193,58 +193,3 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
-
-func TestPrecisionAtK(t *testing.T) {
-	rel := map[int]bool{1: true, 3: true, 5: true}
-	cases := []struct {
-		ranked []int
-		k      int
-		want   float64
-	}{
-		{[]int{1, 3, 5}, 3, 1},
-		{[]int{1, 2, 3, 4}, 4, 0.5},
-		{[]int{2, 4, 6}, 3, 0},
-		{[]int{1}, 3, 1.0 / 3}, // short ranking penalized against k
-		{[]int{1, 3}, 0, 0},
-		{nil, 5, 0},
-	}
-	for _, tc := range cases {
-		if got := PrecisionAtK(rel, tc.ranked, tc.k); !almostEq(got, tc.want, 1e-12) {
-			t.Fatalf("PrecisionAtK(%v, %d) = %v, want %v", tc.ranked, tc.k, got, tc.want)
-		}
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	rel := map[int]bool{1: true, 3: true}
-	// Hits at ranks 1 and 3: AP = (1/1 + 2/3) / 2.
-	if got, want := AveragePrecision(rel, []int{1, 2, 3}), (1.0+2.0/3)/2; !almostEq(got, want, 1e-12) {
-		t.Fatalf("AP = %v, want %v", got, want)
-	}
-	if got := AveragePrecision(rel, []int{1, 3}); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("perfect AP = %v", got)
-	}
-	if got := AveragePrecision(rel, []int{2, 4}); got != 0 {
-		t.Fatalf("missed-everything AP = %v", got)
-	}
-	if got := AveragePrecision(map[int]bool{}, []int{1}); got != 0 {
-		t.Fatalf("no-relevant AP = %v", got)
-	}
-}
-
-func TestMeanAveragePrecision(t *testing.T) {
-	rel := []map[int]bool{{1: true}, {2: true}}
-	ranked := [][]int{{1}, {7, 2}}
-	if got, want := MeanAveragePrecision(rel, ranked), (1.0+0.5)/2; !almostEq(got, want, 1e-12) {
-		t.Fatalf("MAP = %v, want %v", got, want)
-	}
-	if got := MeanAveragePrecision(nil, nil); got != 0 {
-		t.Fatalf("empty MAP = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	MeanAveragePrecision(rel, ranked[:1])
-}

@@ -16,14 +16,15 @@ import (
 // is the inverted-index scan, which scores every matching resource, and
 // "concept" probes only the inverted document lists of the query's own
 // concepts, skipping documents whose dominant concept the query never
-// mentions (sublinear candidate work, with the recall cost measured by
-// the benchoffline rerank curve). rerank is the candidate depth C: only
-// the source's best C candidates by cosine are personalized,
-// thresholded and ranked. 0 keeps every candidate, and Query.Rerank /
-// /search?rerank= override it per request. WithRetrieval("exact", 0) —
-// or any C ≥ the corpus size — ranks exactly as the receiver does.
-// Like every derived snapshot the receiver is not mutated; the returned
-// engine is immutable and safe for concurrent queries.
+// mentions (sublinear candidate work; what survives keeps its exact
+// score and order, see TestRetrievalConceptSourceSubsetOfExact). rerank
+// is the candidate depth C: only the source's best C candidates by
+// cosine are personalized, thresholded and ranked. 0 keeps every
+// candidate, and Query.Rerank / /search?rerank= override it per request.
+// WithRetrieval("exact", 0) — or any C ≥ the corpus size — ranks exactly
+// as the receiver does. Like every derived snapshot the receiver is not
+// mutated; the returned engine is immutable and safe for concurrent
+// queries.
 func (e *Engine) WithRetrieval(candidates string, rerank int) (*Engine, error) {
 	if rerank < 0 {
 		return nil, fmt.Errorf("%w: WithRetrieval(%q, %d): rerank depth must be ≥ 0", ErrInvalidOptions, candidates, rerank)

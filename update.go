@@ -80,10 +80,9 @@ type Index struct {
 
 // NewIndex builds the initial engine snapshot over the source corpus
 // and returns the updatable handle that owns it. Options are the same
-// as Build, plus the lifecycle-only ones: WithPreviousModel warm-starts
+// as Build, plus the lifecycle-only WithPreviousModel, which warm-starts
 // this initial build from an earlier engine (e.g. yesterday's model
-// file), and WithMoveThreshold / WithMaxMovedFraction tune later
-// Applies.
+// file).
 func NewIndex(ctx context.Context, src Source, opts ...BuildOption) (*Index, error) {
 	settings := buildSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
@@ -113,7 +112,7 @@ func NewIndex(ctx context.Context, src Source, opts ...BuildOption) (*Index, err
 		if err != nil {
 			return nil, err
 		}
-		p, _, err := core.Update(ctx, ds, pst, coreOptions(idx.settings, ds.Stats()), idx.updateOptions())
+		p, _, err := core.Update(ctx, ds, pst, coreOptions(idx.settings, ds.Stats()), core.UpdateOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("cubelsi: warm-start build: %w", err)
 		}
@@ -193,7 +192,7 @@ func (idx *Index) Apply(ctx context.Context, d Delta) (*UpdateReport, error) {
 		return nil, err
 	}
 	pst := prevStateFromPipeline(idx.pipe)
-	p, ust, err := core.Update(ctx, ds, pst, coreOptions(idx.settings, ds.Stats()), idx.updateOptions())
+	p, ust, err := core.Update(ctx, ds, pst, coreOptions(idx.settings, ds.Stats()), core.UpdateOptions{})
 	if err != nil {
 		rollback()
 		return nil, fmt.Errorf("cubelsi: update: %w", err)
@@ -224,13 +223,6 @@ func (idx *Index) Apply(ctx context.Context, d Delta) (*UpdateReport, error) {
 		IndexMS:            ms(p.Times.Index),
 		TotalMS:            ms(p.Times.Total()),
 	}, nil
-}
-
-func (idx *Index) updateOptions() core.UpdateOptions {
-	return core.UpdateOptions{
-		MoveThreshold:    idx.settings.moveThreshold,
-		MaxMovedFraction: idx.settings.maxMovedFraction,
-	}
 }
 
 // prevStateFromPipeline packages the last built pipeline as the warm
