@@ -3,7 +3,7 @@ GO ?= go
 # The tracked microbenchmarks: `make bench` measures them, `make
 # bench-once` (part of `make check` and the CI test job) runs each for a
 # single iteration so none can stop compiling or start failing unseen.
-BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|EngineBuild|EngineSearch|SymMulT|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
+BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|SearchConcept|EngineBuild|EngineSearch|SymMulT|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
 BENCH_PKGS = ./internal/embed/ ./internal/ir/ ./internal/retrieve/ ./internal/mat/ ./internal/tensor/ ./internal/tucker/ .
 
 .PHONY: build test bench bench-once bench-check vet vet-custom check fmt fuzz lint e2e-replicate

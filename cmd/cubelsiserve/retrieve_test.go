@@ -122,7 +122,9 @@ func TestServedUserParam(t *testing.T) {
 // depth is ErrInvalidOptions on WithRetrieval and a NaN threshold
 // disables itself, so /search refuses both — on GET, on a single POST
 // and on any entry of a batch — through the error envelope instead of
-// serving something other than what was asked.
+// serving something other than what was asked. A query with neither
+// tags nor concepts is refused the same way everywhere, rather than
+// answered with an empty list inside a batch.
 func TestSearchRejectsOptionValuesTheLibraryRejects(t *testing.T) {
 	_, ts := retrieveTestServer(t)
 	for _, tc := range []struct {
@@ -136,6 +138,10 @@ func TestSearchRejectsOptionValuesTheLibraryRejects(t *testing.T) {
 		{"post negative rerank", "POST", "/search", `{"tags":["mp3"],"rerank":-3}`, 400, "bad rerank"},
 		{"batch entry negative rerank", "POST", "/search", `{"queries":[{"tags":["mp3"]},{"tags":["audio"],"rerank":-3}]}`, 400, "query 1: bad rerank"},
 		{"post NaN min_score is not JSON", "POST", "/search", `{"tags":["mp3"],"min_score":NaN}`, 400, ""},
+		{"post empty tags", "POST", "/search", `{"tags":[]}`, 400, "missing tags or concepts"},
+		{"batch entry empty tags", "POST", "/search", `{"queries":[{"tags":["mp3"]},{"tags":[]}]}`, 400, "query 1: missing tags or concepts"},
+		{"batch entry without tags or concepts", "POST", "/search", `{"queries":[{"limit":3}]}`, 400, "query 0: missing tags or concepts"},
+		{"batch entry concepts only", "POST", "/search", `{"queries":[{"concepts":[0]}]}`, 200, ""},
 		{"get zero rerank keeps the engine depth", "GET", "/search?q=mp3&rerank=0", "", 200, ""},
 		{"get -Inf min_score is a threshold", "GET", "/search?q=mp3&min_score=-Inf", "", 200, ""},
 		{"post positive rerank", "POST", "/search", `{"tags":["mp3"],"rerank":2}`, 200, ""},

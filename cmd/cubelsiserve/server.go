@@ -587,6 +587,10 @@ func (s *server) handleSearchPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for i, q := range req.Queries {
+			if len(q.Tags) == 0 && len(q.Concepts) == 0 {
+				writeError(w, http.StatusBadRequest, "query %d: missing tags or concepts", i)
+				return
+			}
 			if err := checkQueryOptions(q); err != nil {
 				writeError(w, http.StatusBadRequest, "query %d: %v", i, err)
 				return

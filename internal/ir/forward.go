@@ -77,10 +77,6 @@ func (f *Forward) Doc(d int) []TermWeight { return f.docs[d] }
 // Dominant returns the dominant term of document d (-1 if empty).
 func (f *Forward) Dominant(d int) int { return f.dominant[d] }
 
-// List returns the documents whose dominant term is t, ascending. The
-// returned slice is shared; callers must not mutate it.
-func (f *Forward) List(t int) []int { return f.lists[t] }
-
 // Score recomputes document d's exact cosine score against a tf-idf
 // query vector with norm qnorm (QueryNorm). The boolean is false when
 // the document matches no query term (or has a zero norm) — such

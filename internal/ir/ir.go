@@ -37,8 +37,8 @@ type Index struct {
 	fwdOnce sync.Once
 	fwd     *Forward
 
-	// scratch pools the kernel's accumulators (*scanScratch), shared like
-	// fwd by every engine snapshot holding this index.
+	// scratch pools the ranking passes' working memory (*scanScratch),
+	// shared like fwd by every engine snapshot holding this index.
 	scratch sync.Pool
 }
 
@@ -269,14 +269,109 @@ func SortScoredDesc(out []Scored) {
 	})
 }
 
-// scanScratch is one query's accumulator: dots[d] sums document d's
-// matched (query weight × document weight) products, seen[d] marks the
-// documents in touched. Both dense arrays are sized to the collection
-// once and are all-zero whenever the scratch sits in the pool.
+// scanScratch is one query's working memory, pooled per index and
+// filled lazily by whichever pass first needs each part. The inverted
+// scan's accumulator: dots[d] sums document d's matched (query weight ×
+// document weight) products, seen[d] marks the documents in touched,
+// both sized to the collection. The dominant-list pass's dense query:
+// query[t] and inQuery[t] over the term space. heap is the bounded
+// selection both passes share. Every dense array is all-zero whenever
+// the scratch sits in the pool.
+//
+// A scratch goes back to the pool only on a pass's normal return: a
+// panic mid-pass (a corrupt model, recovered by SearchBatch) drops its
+// half-cleared scratch instead of poisoning later queries.
 type scanScratch struct {
 	dots    []float64
 	seen    []bool
 	touched []int
+
+	query   []float64
+	inQuery []bool
+
+	heap *topk.Heap[Scored]
+}
+
+func (ix *Index) getScratch() *scanScratch {
+	if s, ok := ix.scratch.Get().(*scanScratch); ok {
+		return s
+	}
+	return &scanScratch{heap: topk.New(0, worseScored)}
+}
+
+// worseScored is the selection heap's eviction order: lower score, ties
+// by higher doc id — a strict total order, so the kept set is exactly
+// the first topN of the full descending sort whatever order the
+// documents are offered in.
+func worseScored(a, b Scored) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Doc > b.Doc
+}
+
+// selection is the tail every ranking pass shares: it turns a matched
+// document's dot product into its final score — the Equation 4 cosine,
+// blended with the user's affinity when a user is set — drops scores
+// below minScore, and keeps the best topN in (score desc, doc asc)
+// order. The threshold applies before a document enters the heap, so
+// the topN slots are spent only on documents at or above minScore.
+type selection struct {
+	norms    []float64
+	qnorm    float64
+	fwd      *Forward // non-nil only when blending
+	user     []float64
+	beta     float64
+	minScore float64
+	heap     *topk.Heap[Scored] // the scratch's, when topN cuts the matches
+	out      []Scored           // otherwise every kept document
+}
+
+// newSelection opens the selection over at most n matched documents: the
+// scratch's bounded heap when topN cuts them, otherwise collect and
+// sort.
+func (ix *Index) newSelection(s *scanScratch, qnorm float64, user []float64, beta float64, topN, n int, minScore float64) selection {
+	sel := selection{norms: ix.norms, qnorm: qnorm, user: user, beta: beta, minScore: minScore}
+	if user != nil {
+		sel.fwd = ix.Forward()
+	}
+	if topN > 0 && topN < n {
+		s.heap.Reset(topN)
+		sel.heap = s.heap
+	} else {
+		sel.out = make([]Scored, 0, n)
+	}
+	return sel
+}
+
+func (sel *selection) offer(d int, dot float64) {
+	norm := sel.norms[d]
+	if norm == 0 {
+		return
+	}
+	score := dot / (sel.qnorm * norm)
+	if sel.fwd != nil {
+		score = sel.fwd.Blend(score, sel.user, sel.beta, d)
+	}
+	if score < sel.minScore {
+		return
+	}
+	if sel.heap != nil {
+		sel.heap.Offer(Scored{Doc: d, Score: score})
+	} else {
+		sel.out = append(sel.out, Scored{Doc: d, Score: score})
+	}
+}
+
+// result returns the kept documents best-first, in a slice of their own:
+// the heap's storage stays with the scratch.
+func (sel *selection) result() []Scored {
+	out := sel.out
+	if sel.heap != nil {
+		out = slices.Clone(sel.heap.Items())
+	}
+	SortScoredDesc(out)
+	return out
 }
 
 // rank is the scoring kernel every query lands on: Equation 4 cosine
@@ -295,12 +390,9 @@ func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int
 	terms := sortedTerms(qw)
 	qnorm := queryNorm(qw, terms)
 
-	// A scratch goes back to the pool only on the normal return below: a
-	// panic mid-scan (a corrupt model, recovered by SearchBatch) drops
-	// its half-cleared scratch instead of poisoning later queries.
-	s, _ := ix.scratch.Get().(*scanScratch)
-	if s == nil {
-		s = &scanScratch{dots: make([]float64, ix.numDocs), seen: make([]bool, ix.numDocs)}
+	s := ix.getScratch()
+	if s.dots == nil {
+		s.dots, s.seen = make([]float64, ix.numDocs), make([]bool, ix.numDocs)
 	}
 	dots, seen, touched := s.dots, s.seen, s.touched[:0]
 	for _, t := range terms {
@@ -314,55 +406,66 @@ func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int
 		}
 	}
 
-	var fwd *Forward
-	if user != nil {
-		fwd = ix.Forward()
-	}
-	// Selection: a bounded heap when topN cuts the matches, otherwise
-	// collect and sort. Eviction order is lower score, ties by higher doc
-	// id — a strict total order, so the kept set is exactly the first
-	// topN of the full descending sort whatever order touched is in. The
-	// threshold applies before a document enters the heap, so the topN
-	// slots are spent only on documents at or above minScore.
-	var heap *topk.Heap[Scored]
-	var out []Scored
-	if topN > 0 && topN < len(touched) {
-		heap = topk.New(topN, func(a, b Scored) bool {
-			if a.Score != b.Score {
-				return a.Score < b.Score
-			}
-			return a.Doc > b.Doc
-		})
-	} else {
-		out = make([]Scored, 0, len(touched))
-	}
+	sel := ix.newSelection(s, qnorm, user, beta, topN, len(touched), minScore)
 	for _, d := range touched {
 		dot := dots[d]
 		dots[d], seen[d] = 0, false
-		norm := ix.norms[d]
-		if norm == 0 {
-			continue
-		}
-		score := dot / (qnorm * norm)
-		if fwd != nil {
-			score = fwd.Blend(score, user, beta, d)
-		}
-		if score < minScore {
-			continue
-		}
-		if heap != nil {
-			heap.Offer(Scored{Doc: d, Score: score})
-		} else {
-			out = append(out, Scored{Doc: d, Score: score})
-		}
+		sel.offer(d, dot)
 	}
+	out := sel.result()
 	s.touched = touched
 	ix.scratch.Put(s)
+	return out
+}
 
-	if heap != nil {
-		out = heap.Items()
+// RankDominant is RankBlended restricted to the documents whose dominant
+// term (Forward.Dominant) the query names — the "concept" candidate
+// source. It is one pass over those terms' dominant-term lists: each
+// listed document is scored through its forward vector against a dense
+// copy of the query, its products summed in ascending term order, so
+// every score is bit-identical to Forward.Score and to the inverted
+// scan; the blend, minScore and topN selection are rank's own. The pass
+// costs O(terms of the listed documents) and never touches the
+// collection-sized accumulator.
+func (ix *Index) RankDominant(qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
+	if len(qw) == 0 {
+		return nil
 	}
-	SortScoredDesc(out)
+	terms := sortedTerms(qw)
+	qnorm := queryNorm(qw, terms)
+	f := ix.Forward()
+
+	s := ix.getScratch()
+	if s.query == nil {
+		s.query, s.inQuery = make([]float64, ix.numTerms), make([]bool, ix.numTerms)
+	}
+	query, inQuery := s.query, s.inQuery
+	listed := 0
+	for _, t := range terms {
+		query[t], inQuery[t] = qw[t], true
+		listed += len(f.lists[t])
+	}
+
+	sel := ix.newSelection(s, qnorm, user, beta, topN, listed, minScore)
+	// The dominant-term lists partition the documents, so none is
+	// offered twice, and each listed document matches at least its
+	// dominant term.
+	for _, t := range terms {
+		for _, d := range f.lists[t] {
+			var dot float64
+			for _, tw := range f.docs[d] {
+				if inQuery[tw.Term] {
+					dot += query[tw.Term] * tw.Weight
+				}
+			}
+			sel.offer(d, dot)
+		}
+	}
+	for _, t := range terms {
+		query[t], inQuery[t] = 0, false
+	}
+	out := sel.result()
+	ix.scratch.Put(s)
 	return out
 }
 

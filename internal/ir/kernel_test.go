@@ -90,3 +90,57 @@ func TestKernelCostIndependentOfCollectionSize(t *testing.T) {
 		t.Fatalf("%d queries took %v on %d documents but %v on %d: per-query cost scales with the collection", runs, b, big, s, small)
 	}
 }
+
+// TestDominantPassAllocatesNothingPerListedDocument holds RankDominant —
+// the concept source — to its contract: a query whose probed list holds
+// 2·10⁴ documents, at topN 200, neither grows a candidate slice per
+// listed document nor allocates the collection-sized accumulator. The
+// threshold admits 20 documents, so the bound measures the pass's own
+// working memory rather than the answer. The concept source this pass
+// replaced appended every listed document: 1.6 MB and 24 objects here.
+func TestDominantPassAllocatesNothingPerListedDocument(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// Every document is dominated by term 0; every thousandth also holds
+	// term 1 at half weight, which lifts its score above the threshold.
+	const n = 20_000
+	snap := &IndexSnapshot{NumTerms: 2, NumDocs: n, DF: []int{n, n / 1000}, Postings: make([][]Posting, 2), Norms: make([]float64, n)}
+	for d := range n {
+		snap.Postings[0] = append(snap.Postings[0], Posting{Doc: d, Weight: 1})
+		snap.Norms[d] = 1
+		if d%1000 == 0 {
+			snap.Postings[1] = append(snap.Postings[1], Posting{Doc: d, Weight: 0.5})
+			snap.Norms[d] = math.Sqrt(1.25)
+		}
+	}
+	ix, err := FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qw := map[int]float64{0: 1, 1: 1}
+	query := func() {
+		if got := ix.RankDominant(qw, nil, 0, 200, 0.9); len(got) != n/1000 {
+			t.Fatalf("thresholded pass returned %d results, want %d", len(got), n/1000)
+		}
+	}
+	runtime.GC()
+	query() // sizes the scratch and builds the forward view
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > 2048 {
+		t.Fatalf("a pass over %d listed documents allocates %d bytes", n, perQuery)
+	}
+	if perQuery := (after.Mallocs - before.Mallocs) / runs; perQuery > 16 {
+		t.Fatalf("a pass over %d listed documents allocates %d objects", n, perQuery)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ix.RankDominant(qw, nil, 0, 200, math.Inf(-1)) }); allocs > 16 {
+		t.Fatalf("an unthresholded top-200 pass allocates %.0f objects", allocs)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // refRank is the brute-force Equation 4 reference the scan kernel is
@@ -62,6 +64,41 @@ func refRankBlended(ix *Index, qw map[int]float64, user []float64, beta float64,
 			continue
 		}
 		out = append(out, Scored{Doc: s.Doc, Score: score})
+	}
+	refSort(out)
+	if topN > 0 && len(out) > topN {
+		out = out[:topN]
+	}
+	return out
+}
+
+// refRankDominant is the reference for RankDominant: every document,
+// doc by doc, through Forward.Score, kept only when the query names its
+// dominant term, blended when a user is set, then thresholded,
+// full-sorted and truncated. It shares no list, dense query, pool or heap
+// with the pass.
+func refRankDominant(ix *Index, qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
+	if len(qw) == 0 {
+		return nil
+	}
+	f := ix.Forward()
+	qnorm := ix.QueryNorm(qw)
+	var out []Scored
+	for d := range ix.NumDocs() {
+		if _, probed := qw[f.Dominant(d)]; !probed {
+			continue
+		}
+		score, ok := f.Score(qw, qnorm, d)
+		if !ok {
+			continue
+		}
+		if user != nil {
+			score = (1-beta)*score + beta*f.Affinity(user, d)
+		}
+		if score < minScore {
+			continue
+		}
+		out = append(out, Scored{Doc: d, Score: score})
 	}
 	refSort(out)
 	if topN > 0 && len(out) > topN {
@@ -173,6 +210,61 @@ func TestKernelMatchesBruteForceReference(t *testing.T) {
 					mustEqualScored(t, label+" shared", ix.RankWeights(qw, topN, min), refRank(ix, qw, topN, min))
 					mustEqualScored(t, label+" QueryMin", ix.QueryMin(counts, topN, min), refRank(ix, qw, topN, min))
 					mustEqualScored(t, label+" user", ix.RankBlended(qw, user, beta, topN, min), refRankBlended(ix, qw, user, beta, topN, min))
+				}
+			}
+		}
+	}
+}
+
+// TestRankDominantMatchesBruteForceReference is the property test of the
+// dominant-list pass: over datagen.Tiny() and seeded random indexes
+// (duplicated documents for ties, empty and ubiquitous-term-only
+// documents), queries with zero-weight entries, every topN shape, a
+// MinScore grid and a user or none, RankDominant must reproduce the
+// doc-by-doc reference bit for bit. Consecutive calls reuse one pooled
+// scratch, so a dense query left dirty shows as a wrong score.
+func TestRankDominantMatchesBruteForceReference(t *testing.T) {
+	const beta = 0.25
+	tiny := datagen.Generate(datagen.Tiny()).Clean
+	indexes := []*Index{BuildIndex(tiny.ResourceTags(), tiny.Tags.Len())}
+	for seed := range 4 {
+		rng := rand.New(rand.NewSource(int64(200 + seed)))
+		indexes = append(indexes, randomIndex(rng, 40+rng.Intn(200), 5+rng.Intn(12)))
+	}
+	for ii, ix := range indexes {
+		rng := rand.New(rand.NewSource(int64(ii)))
+		nTerms := ix.NumTerms()
+		user := make([]float64, nTerms)
+		for i := range user {
+			user[i] = rng.NormFloat64()
+		}
+		queries := []map[int]float64{nil, {}, {0: 1}, {nTerms - 1: 1}}
+		for range 12 {
+			counts := map[int]int{}
+			for range 1 + rng.Intn(4) {
+				counts[rng.Intn(nTerms)] += 1 + rng.Intn(2)
+			}
+			qw := ix.QueryWeights(counts)
+			// A zero-weight entry names a term, and so probes its list,
+			// but adds nothing to any dot product.
+			t := rng.Intn(nTerms)
+			if _, ok := qw[t]; !ok && len(qw) > 0 {
+				qw[t] = 0
+			}
+			queries = append(queries, qw)
+		}
+		for qi, qw := range queries {
+			full := refRankDominant(ix, qw, nil, 0, 0, math.Inf(-1))
+			mins := []float64{math.Inf(-1), 0, 2}
+			if len(full) > 0 {
+				mins = append(mins, full[len(full)/2].Score, full[0].Score, math.Nextafter(full[0].Score, 2))
+			}
+			for _, topN := range []int{-1, 0, 1, 7, len(full), len(full) + 3} {
+				for _, min := range mins {
+					for _, u := range [][]float64{nil, user} {
+						label := fmt.Sprintf("index %d query %d topN %d min %v user %v", ii, qi, topN, min, u != nil)
+						mustEqualScored(t, label, ix.RankDominant(qw, u, beta, topN, min), refRankDominant(ix, qw, u, beta, topN, min))
+					}
 				}
 			}
 		}

@@ -3,20 +3,23 @@
 // survive the selection, and how the optional user-mode bias, the
 // MinScore threshold and the Limit apply to what is left. Every
 // request of the serving stack runs through a Pipeline; scoring itself
-// happens once, in the index's scan kernel (ir.Index.RankBlended) or the
-// doc-major forward view (ir.Forward.Score), which agree to the bit
-// because both accumulate matched products in ascending term order and
-// divide by the same norms.
+// happens once, in the index's scan kernel (ir.Index.RankBlended), its
+// dominant-list pass (ir.Index.RankDominant) or the doc-major forward
+// view (ir.Forward.Score), which agree to the bit because all three
+// accumulate matched products in ascending term order and divide by the
+// same norms.
 //
 // The plan a Pipeline picks:
 //
-//   - exact source at a depth covering the corpus (the default): one
-//     kernel call with the blend, the threshold and the limit folded in —
-//     no candidate list, no second pass;
-//   - exact source at a smaller depth, or the concept source: the source
-//     selects up to C candidates by their Equation 4 cosine, and stage two
-//     only blends, filters and orders them — their scores are already
-//     exact and are not recomputed;
+//   - a shared request (no User) on either built-in source, or a
+//     personalised one on the exact source at a depth covering the corpus
+//     (the default): one kernel call with the blend, the threshold and
+//     the limit folded in — no candidate list, no second pass;
+//   - a personalised request on the exact source at a smaller depth, or
+//     on the concept source: the source selects up to C candidates by
+//     their Equation 4 cosine, and stage two only blends, filters and
+//     orders them — their scores are already exact and are not
+//     recomputed;
 //   - any other Source: its scores are taken as selection scores only and
 //     every candidate is rescored through the forward view first.
 package retrieve
@@ -24,7 +27,6 @@ package retrieve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ir"
 )
@@ -61,39 +63,19 @@ func (exactSource) Candidates(ix *ir.Index, qw map[int]float64, depth int) []ir.
 // by the depth, never by candidate recall.
 func Exact() Source { return exactSource{} }
 
-// conceptSource probes only the inverted document lists of the query's
-// own concepts: every document whose dominant concept (its
-// largest-weight term) appears in the query is scored exactly and the
-// best depth survive. Documents the query reaches only through a
-// non-dominant concept are skipped — the recall the quality/latency
-// bench measures against the exact ground truth.
+// conceptSource probes only the dominant-term document lists of the
+// query's own concepts (ir.Index.RankDominant): every document whose
+// dominant concept (its largest-weight term) appears in the query is
+// scored exactly and the best depth survive. Documents the query reaches
+// only through a non-dominant concept are skipped — the recall the
+// benchmark's retrieve.recall_at_10 and quality_ndcg10 measure on
+// wide_sublinear.
 type conceptSource struct{}
 
 func (conceptSource) Name() string { return "concept" }
 
 func (conceptSource) Candidates(ix *ir.Index, qw map[int]float64, depth int) []ir.Scored {
-	f := ix.Forward()
-	qnorm := ix.QueryNorm(qw)
-	terms := make([]int, 0, len(qw))
-	for t := range qw {
-		terms = append(terms, t)
-	}
-	sort.Ints(terms)
-	var out []ir.Scored
-	// Dominant-term lists partition the documents, so no candidate
-	// appears twice even when the query probes several lists.
-	for _, t := range terms {
-		for _, d := range f.List(t) {
-			if s, ok := f.Score(qw, qnorm, d); ok {
-				out = append(out, ir.Scored{Doc: d, Score: s})
-			}
-		}
-	}
-	ir.SortScoredDesc(out)
-	if len(out) > depth {
-		out = out[:depth]
-	}
-	return out
+	return ix.RankDominant(qw, nil, 0, depth, math.Inf(-1))
 }
 
 // Concept returns the concept-probing candidate source.
@@ -113,8 +95,8 @@ func ByName(name string) (Source, error) {
 
 // scoresExactly reports whether a source's candidate scores are already
 // the Equation 4 cosine — true of the two built-in sources, which score
-// through the kernel and the forward view. Every other source is
-// rescored.
+// through the index's scan and dominant-list passes. Every other source
+// is rescored.
 func scoresExactly(s Source) bool {
 	switch s.(type) {
 	case exactSource, conceptSource:
@@ -197,10 +179,23 @@ func (p *Pipeline) Search(ix *ir.Index, req Request) []ir.Scored {
 	if depth <= 0 || depth > ix.NumDocs() {
 		depth = ix.NumDocs()
 	}
-	if _, exact := p.source.(exactSource); exact && depth == ix.NumDocs() {
-		// Every match is a candidate, so selection and final ranking are
-		// the same scan.
-		return ix.RankBlended(req.Weights, req.User, UserBlend, req.Limit, req.MinScore)
+	// One kernel call whenever the selection score is the final score:
+	// every match is a candidate (the exact source at covering depth), or
+	// no blend applies. Then MinScore commutes with the top-C cut and the
+	// Limit is a shallower cut of the same order.
+	topN := depth
+	if req.Limit > 0 && req.Limit < depth {
+		topN = req.Limit
+	}
+	switch p.source.(type) {
+	case exactSource:
+		if req.User == nil || depth == ix.NumDocs() {
+			return ix.RankBlended(req.Weights, req.User, UserBlend, topN, req.MinScore)
+		}
+	case conceptSource:
+		if req.User == nil {
+			return ix.RankDominant(req.Weights, nil, 0, topN, req.MinScore)
+		}
 	}
 	cands := p.source.Candidates(ix, req.Weights, depth)
 	if !scoresExactly(p.source) {

@@ -169,26 +169,47 @@ func TestEmptyQuery(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchPartialDepthUser measures the plan that still has two
-// stages: the exact source cut at C = 200 candidates by cosine, then
-// the user blend, threshold and order over those 200 — no rescoring.
-func BenchmarkSearchPartialDepthUser(b *testing.B) {
+// benchSearch times p.Search over a 20 000-document randomIndex, a
+// three-concept query and Limit 10, shared (user false) or with a user
+// row; the first call builds the forward view outside the timed region.
+func benchSearch(b *testing.B, p *Pipeline, user bool) {
 	rng := rand.New(rand.NewSource(1))
 	ix := randomIndex(rng, 20_000, 24)
-	qw := ix.QueryWeights(map[int]int{1: 1, 7: 1, 13: 2})
-	user := make([]float64, ix.NumTerms())
-	for i := range user {
-		user[i] = rng.NormFloat64()
+	req := Request{Weights: ix.QueryWeights(map[int]int{1: 1, 7: 1, 13: 2}), Limit: 10}
+	if user {
+		req.User = make([]float64, ix.NumTerms())
+		for i := range req.User {
+			req.User[i] = rng.NormFloat64()
+		}
 	}
-	p, err := New(Exact(), 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := Request{Weights: qw, Limit: 10, User: user}
-	p.Search(ix, req) // builds the forward view outside the timed region
+	p.Search(ix, req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		p.Search(ix, req)
 	}
+}
+
+// BenchmarkSearchPartialDepthUser measures the plan that still has two
+// stages: the exact source cut at C = 200 candidates by cosine, then
+// the user blend, threshold and order over those 200 — no rescoring.
+func BenchmarkSearchPartialDepthUser(b *testing.B) {
+	p, err := New(Exact(), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSearch(b, p, true)
+}
+
+// BenchmarkSearchConcept measures the concept source at C = 200, Limit
+// 10: shared, one heap-bounded pass over the probed dominant-term lists
+// at min(C, Limit); personalised, that pass at C then the blend-and-sort
+// stage over its 200 candidates.
+func BenchmarkSearchConcept(b *testing.B) {
+	p, err := New(Concept(), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("shared", func(b *testing.B) { benchSearch(b, p, false) })
+	b.Run("personalised", func(b *testing.B) { benchSearch(b, p, true) })
 }

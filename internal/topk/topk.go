@@ -20,14 +20,22 @@ type Heap[T any] struct {
 // New returns a heap selecting the k best items under worse (worse(a, b)
 // reports whether a should be evicted before b).
 func New[T any](k int, worse func(a, b T) bool) *Heap[T] {
+	h := &Heap[T]{worse: worse}
+	h.Reset(k)
+	return h
+}
+
+// Reset empties the heap and rebounds it to k, keeping its storage: a
+// pooled heap selects again without allocating once its storage covers k.
+func (h *Heap[T]) Reset(k int) {
 	if k < 0 {
 		k = 0
 	}
-	cap := k
-	if cap > 1<<16 {
-		cap = 1 << 16 // grow incrementally for huge k
+	h.k = k
+	h.items = h.items[:0]
+	if want := min(k, 1<<16); cap(h.items) < want { // grow incrementally for huge k
+		h.items = make([]T, 0, want)
 	}
-	return &Heap[T]{k: k, worse: worse, items: make([]T, 0, cap)}
 }
 
 // Offer considers one candidate.

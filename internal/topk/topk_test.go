@@ -24,13 +24,17 @@ func TestSelectsBestK(t *testing.T) {
 		state ^= state << 17
 		return int(state % uint64(n))
 	}
+	// One heap, Reset for every case: a reused heap — shrunk or grown,
+	// with the previous selection still in its storage — must select
+	// exactly as a fresh one.
+	h := New(0, worse)
 	for _, total := range []int{1, 10, 1000} {
 		for _, k := range []int{1, 7, total, total + 5} {
 			items := make([]item, total)
 			for i := range items {
 				items[i] = item{score: next(17), id: i}
 			}
-			h := New(k, worse)
+			h.Reset(k)
 			for _, it := range items {
 				h.Offer(it)
 			}

@@ -96,25 +96,40 @@ func equalResults(a, b []Result) bool {
 
 // TestQueryAllocationCeiling keeps the query path cheap: on the test
 // corpus a limited Engine.Query, shared or personalised, stays within
-// ten allocations — the concept and weight maps, the sorted terms, the
-// bounded heap and the result slice, and nothing per matched document.
+// ten allocations — the concept and weight maps, the sorted terms and
+// the result slice, and nothing per matched document — on the default
+// engine, the concept source at C = 200 and the exact source below
+// covering depth.
 func TestQueryAllocationCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	eng := buildCorpus(t)
-	for _, tc := range []struct {
+	concept, err := eng.WithRetrieval("concept", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := eng.WithRetrieval("exact", eng.Stats().Resources/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []struct {
 		name string
-		q    Query
-	}{
-		{"shared", NewQuery([]string{"audio", "songs"}, WithLimit(3))},
-		{"personalised", NewQuery([]string{"audio", "songs"}, WithLimit(3), WithUser("mua"))},
-	} {
-		if len(eng.Query(tc.q)) != 3 {
-			t.Fatalf("%s: want 3 results, got %v", tc.name, eng.Query(tc.q))
-		}
-		if allocs := testing.AllocsPerRun(200, func() { eng.Query(tc.q) }); allocs > 10 {
-			t.Errorf("%s Engine.Query allocates %.0f objects per call, ceiling 10", tc.name, allocs)
+		eng  *Engine
+	}{{"default", eng}, {"concept C=200", concept}, {"exact C=n/2", partial}} {
+		for _, tc := range []struct {
+			name string
+			q    Query
+		}{
+			{"shared", NewQuery([]string{"audio", "songs"}, WithLimit(3))},
+			{"personalised", NewQuery([]string{"audio", "songs"}, WithLimit(3), WithUser("mua"))},
+		} {
+			if got := e.eng.Query(tc.q); len(got) != 3 {
+				t.Fatalf("%s %s: want 3 results, got %v", e.name, tc.name, got)
+			}
+			if allocs := testing.AllocsPerRun(200, func() { e.eng.Query(tc.q) }); allocs > 10 {
+				t.Errorf("%s %s Engine.Query allocates %.0f objects per call, ceiling 10", e.name, tc.name, allocs)
+			}
 		}
 	}
 }

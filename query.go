@@ -39,7 +39,9 @@ type Query struct {
 	// Limit caps the number of results; zero or negative returns every
 	// matching resource.
 	Limit int `json:"limit,omitempty"`
-	// MinScore drops results whose cosine similarity is below it.
+	// MinScore drops results whose final score is below it: the cosine
+	// similarity, or its blend with the user's affinity when User
+	// personalizes the query.
 	MinScore float64 `json:"min_score,omitempty"`
 	// Concepts adds concept ids directly to the query vector, alongside
 	// the concepts the tags map to — the hook for soft-concept scoring
