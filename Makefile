@@ -64,9 +64,11 @@ bench:
 e2e-replicate:
 	./scripts/e2e_replicate.sh
 
-# fuzz exercises the model-decode fuzz target briefly.
+# fuzz exercises the trust-boundary fuzz targets briefly: the model
+# decoder and the POST /search body.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=30s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzSearchPost -fuzztime=30s ./cmd/cubelsiserve/
 
 fmt:
 	gofmt -l -w .

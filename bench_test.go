@@ -222,6 +222,25 @@ func BenchmarkEngineSearchUser(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSearchBatch measures one eight-query SearchBatch, the
+// POST /search batch path: the queries run in order on the calling
+// goroutine.
+func BenchmarkEngineSearchBatch(b *testing.B) {
+	eng := tinyEngine(b)
+	tags := eng.Tags()
+	batch := make([]Query, 8)
+	for i := range batch {
+		batch[i] = NewQuery([]string{tags[i*len(tags)/len(batch)]}, WithLimit(10))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := eng.SearchBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func pickRanker(s *experiments.Setup, name string) eval.Queryable {
 	for _, r := range s.Rankers() {
 		if r.Name() == name {

@@ -16,7 +16,7 @@ import (
 // buildTestEngine builds a small two-community engine, round-trips it
 // through a model file (the cubelsi -save → cubelsiserve -model flow),
 // and returns both: served results must match the in-process original.
-func buildTestEngine(t *testing.T) (built, loaded *cubelsi.Engine) {
+func buildTestEngine(t testing.TB) (built, loaded *cubelsi.Engine) {
 	t.Helper()
 	var assignments []cubelsi.Assignment
 	add := func(u, tag, r string) {

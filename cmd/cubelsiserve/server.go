@@ -564,10 +564,11 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	httpx.WriteBodyError(w, err)
 }
 
-// handleSearchPost answers a single JSON query, or a batch — the batch
-// path fans out through Engine.SearchBatch, the amortized multi-query
-// entry point. The engine snapshot is loaded once per request, so a
-// concurrent update or reload never splits a batch across two models.
+// handleSearchPost answers a single JSON query, or a batch through
+// Engine.SearchBatch, which runs the queries in order on this handler's
+// goroutine — concurrency comes from concurrent requests. The engine
+// snapshot is loaded once per request, so a concurrent update or reload
+// never splits a batch across two models.
 func (s *server) handleSearchPost(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
@@ -633,13 +634,14 @@ func (s *server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	tag := r.URL.Query().Get("tag")
+	params := r.URL.Query()
+	tag := params.Get("tag")
 	if tag == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter tag")
 		return
 	}
 	n := 10
-	if v := r.URL.Query().Get("n"); v != "" {
+	if v := params.Get("n"); v != "" {
 		var err error
 		if n, err = strconv.Atoi(v); err != nil {
 			writeError(w, http.StatusBadRequest, "bad n: %v", err)
@@ -651,7 +653,7 @@ func (s *server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	// [1, lists]; ignored (after validation) when ANN is off, so clients
 	// can send it unconditionally.
 	nprobe := 0
-	if v := r.URL.Query().Get("nprobe"); v != "" {
+	if v := params.Get("nprobe"); v != "" {
 		np, err := strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad nprobe: %v", err)

@@ -45,12 +45,16 @@
 //
 // # Queries
 //
-// Queries are values with composable options, and batches amortize
-// multi-query serving:
+// Queries are values with composable options, and a batch answers many
+// of them in one call:
 //
 //	results := eng.Query(cubelsi.NewQuery([]string{"jazz", "saxophone"},
 //		cubelsi.WithLimit(10), cubelsi.WithMinScore(0.05)))
 //	batches, err := eng.SearchBatch(queries)
+//
+// A batch runs its queries in order on the caller's goroutine: a query
+// costs microseconds, less than a worker pool's hand-offs would, and a
+// server already runs each request on a goroutine of its own.
 //
 // # Incremental lifecycle
 //

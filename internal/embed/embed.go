@@ -247,9 +247,10 @@ type Neighbor struct {
 // NearestK returns the k tags closest to tag i (excluding i itself),
 // nearest first. Ties are broken by lower tag id, so the result is
 // deterministic. k ≤ 0 or k ≥ |T|−1 returns all other tags. Candidate
-// blocks are scanned in parallel, each keeping a bounded max-heap, so the
-// cost is O(|T|·k₂ + |T|·log k) work and O(k) memory per worker — never
-// a full row of D̂.
+// blocks are scanned in parallel once the scan is large enough to pay
+// for the goroutines (inline on the caller's goroutine below that), each
+// keeping a bounded max-heap, so the cost is O(|T|·k₂ + |T|·log k) work
+// and O(k) memory per worker — never a full row of D̂.
 func (e *TagEmbedding) NearestK(i, k int) []Neighbor {
 	n := e.NumTags()
 	if i < 0 || i >= n {
@@ -270,33 +271,37 @@ func (e *TagEmbedding) NearestK(i, k int) []Neighbor {
 	if workers > n {
 		workers = n
 	}
-	chunk := (n + workers - 1) / workers
 
-	heaps := make([][]Neighbor, 0, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			h := e.scanNearestSq(i, k, lo, hi)
-			mu.Lock()
-			heaps = append(heaps, h)
-			mu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Merge the per-worker candidates. The top-k set under the strict
-	// total order (dist, id) is unique, so the partitioning does not
-	// affect the result.
 	var all []Neighbor
-	for _, h := range heaps {
-		all = append(all, h...)
+	if workers == 1 {
+		all = e.scanNearestSq(i, k, 0, n)
+	} else {
+		chunk := (n + workers - 1) / workers
+		heaps := make([][]Neighbor, 0, workers)
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += chunk {
+			hi := lo + chunk
+			if hi > n {
+				hi = n
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				h := e.scanNearestSq(i, k, lo, hi)
+				mu.Lock()
+				heaps = append(heaps, h)
+				mu.Unlock()
+			}(lo, hi)
+		}
+		wg.Wait()
+
+		// Merge the per-worker candidates. The top-k set under the strict
+		// total order (dist, id) is unique, so the partitioning does not
+		// affect the result.
+		for _, h := range heaps {
+			all = append(all, h...)
+		}
 	}
 	sortNeighbors(all)
 	if len(all) > k {

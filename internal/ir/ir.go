@@ -310,31 +310,40 @@ func worseScored(a, b Scored) bool {
 	return a.Doc > b.Doc
 }
 
-// selection is the tail every ranking pass shares: it turns a matched
-// document's dot product into its final score — the Equation 4 cosine,
-// blended with the user's affinity when a user is set — drops scores
-// below minScore, and keeps the best topN in (score desc, doc asc)
-// order. The threshold applies before a document enters the heap, so
-// the topN slots are spent only on documents at or above minScore.
+// selection is the tail every ranking pass shares: it keeps the best
+// topN scored documents at or above minScore, in (score desc, doc asc)
+// order. The scan loops score each matched document themselves — the
+// Equation 4 cosine, blended with the user's affinity when a user is
+// set — and test it against the selection's admission floor inline;
+// only a document that clears the floor reaches admit.
 type selection struct {
-	norms    []float64
-	qnorm    float64
-	fwd      *Forward // non-nil only when blending
-	user     []float64
-	beta     float64
 	minScore float64
 	heap     *topk.Heap[Scored] // the scratch's, when topN cuts the matches
 	out      []Scored           // otherwise every kept document
 }
 
+// floor is a selection's admission bar. Until the heap is full it is
+// (minScore, +∞ doc): the threshold alone. Once it is full it is the
+// heap's worst kept document, which only ever improves, so a document
+// the floor rejects could never be among the final topN — the kept set
+// is exactly the one offering every document to the heap would give.
+type floor struct {
+	score float64
+	doc   int
+}
+
+// rejects reports whether the heap would turn document d away: it scores
+// below the floor, or ties it with a larger doc id — worseScored's order,
+// with the same comparisons, so ±0 and NaN behave as they do in the heap.
+func (f floor) rejects(d int, score float64) bool {
+	return score < f.score || score == f.score && d > f.doc
+}
+
 // newSelection opens the selection over at most n matched documents: the
 // scratch's bounded heap when topN cuts them, otherwise collect and
 // sort.
-func (ix *Index) newSelection(s *scanScratch, qnorm float64, user []float64, beta float64, topN, n int, minScore float64) selection {
-	sel := selection{norms: ix.norms, qnorm: qnorm, user: user, beta: beta, minScore: minScore}
-	if user != nil {
-		sel.fwd = ix.Forward()
-	}
+func newSelection(s *scanScratch, topN, n int, minScore float64) selection {
+	sel := selection{minScore: minScore}
 	if topN > 0 && topN < n {
 		s.heap.Reset(topN)
 		sel.heap = s.heap
@@ -344,23 +353,25 @@ func (ix *Index) newSelection(s *scanScratch, qnorm float64, user []float64, bet
 	return sel
 }
 
-func (sel *selection) offer(d int, dot float64) {
-	norm := sel.norms[d]
-	if norm == 0 {
-		return
+// floor returns the current admission floor.
+func (sel *selection) floor() floor {
+	if sel.heap != nil {
+		if w, ok := sel.heap.Worst(); ok {
+			return floor{w.Score, w.Doc}
+		}
 	}
-	score := dot / (sel.qnorm * norm)
-	if sel.fwd != nil {
-		score = sel.fwd.Blend(score, sel.user, sel.beta, d)
-	}
-	if score < sel.minScore {
-		return
-	}
+	return floor{sel.minScore, math.MaxInt}
+}
+
+// admit keeps document d, which has cleared the floor, and returns the
+// floor the next document must clear.
+func (sel *selection) admit(d int, score float64) floor {
 	if sel.heap != nil {
 		sel.heap.Offer(Scored{Doc: d, Score: score})
 	} else {
 		sel.out = append(sel.out, Scored{Doc: d, Score: score})
 	}
+	return sel.floor()
 }
 
 // result returns the kept documents best-first, in a slice of their own:
@@ -383,6 +394,12 @@ func (sel *selection) result() []Scored {
 // the reason the two agree to the bit. The accumulator is dense and
 // pooled; only the touched entries are cleared, so a query costs
 // O(postings scanned), independent of the collection size.
+//
+// The selection pass has one loop per case so that the unblended loop —
+// the shared ranking every unpersonalised query runs — makes no call for
+// a document the floor rejects: it is cleared, scored and compared in
+// registers. Once the heap is full, only the few documents that beat its
+// worst reach admit.
 func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
 	if len(qw) == 0 {
 		return nil
@@ -406,11 +423,33 @@ func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int
 		}
 	}
 
-	sel := ix.newSelection(s, qnorm, user, beta, topN, len(touched), minScore)
-	for _, d := range touched {
-		dot := dots[d]
-		dots[d], seen[d] = 0, false
-		sel.offer(d, dot)
+	sel := newSelection(s, topN, len(touched), minScore)
+	bar, norms := sel.floor(), ix.norms
+	if user == nil {
+		for _, d := range touched {
+			dot := dots[d]
+			dots[d], seen[d] = 0, false
+			norm := norms[d]
+			if norm == 0 {
+				continue
+			}
+			if score := dot / (qnorm * norm); !bar.rejects(d, score) {
+				bar = sel.admit(d, score)
+			}
+		}
+	} else {
+		fwd := ix.Forward()
+		for _, d := range touched {
+			dot := dots[d]
+			dots[d], seen[d] = 0, false
+			norm := norms[d]
+			if norm == 0 {
+				continue
+			}
+			if score := fwd.Blend(dot/(qnorm*norm), user, beta, d); !bar.rejects(d, score) {
+				bar = sel.admit(d, score)
+			}
+		}
 	}
 	out := sel.result()
 	s.touched = touched
@@ -446,19 +485,30 @@ func (ix *Index) RankDominant(qw map[int]float64, user []float64, beta float64, 
 		listed += len(f.lists[t])
 	}
 
-	sel := ix.newSelection(s, qnorm, user, beta, topN, listed, minScore)
+	sel := newSelection(s, topN, listed, minScore)
+	bar, norms := sel.floor(), ix.norms
 	// The dominant-term lists partition the documents, so none is
 	// offered twice, and each listed document matches at least its
 	// dominant term.
 	for _, t := range terms {
 		for _, d := range f.lists[t] {
+			norm := norms[d]
+			if norm == 0 {
+				continue
+			}
 			var dot float64
 			for _, tw := range f.docs[d] {
 				if inQuery[tw.Term] {
 					dot += query[tw.Term] * tw.Weight
 				}
 			}
-			sel.offer(d, dot)
+			score := dot / (qnorm * norm)
+			if user != nil {
+				score = f.Blend(score, user, beta, d)
+			}
+			if !bar.rejects(d, score) {
+				bar = sel.admit(d, score)
+			}
 		}
 	}
 	for _, t := range terms {

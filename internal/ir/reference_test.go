@@ -149,6 +149,120 @@ func randomIndex(rng *rand.Rand, nDocs, nTerms int) *Index {
 	return BuildIndex(docs, nTerms)
 }
 
+// tieIndex is the tie-adversarial index for the selection's admission
+// floor. Every document belongs to one of a few profile classes (d mod
+// 7, as in syntheticIndex), so equal scores come in long runs spread
+// over the whole id range. Terms 1 and 2 split the collection: term 1
+// is in the upper half of the ids only, term 2 in the lower half only,
+// with equal document frequency, so every document has a lower-half
+// twin that scores bit-equal against any query weighting 1 and 2
+// equally. Terms are scanned in ascending order, so a query naming 1
+// meets the upper half first: touched is not doc-ascending, and each
+// run of ties arrives high ids first — the order in which a floor that
+// mishandles the doc tie-break keeps the wrong twins. In some classes
+// the half term is the dominant term, so the dominant-list pass meets
+// the same order.
+func tieIndex(nDocs int) *Index {
+	const classes = 7
+	docs := make([]map[int]int, nDocs)
+	for d := range docs {
+		p := d % classes
+		half := 2
+		if d >= nDocs/2 {
+			half = 1
+		}
+		doc := map[int]int{0: 1, half: 1 + p%3, 3 + p: 1 + (p+1)%2}
+		doc[3+(p+3)%classes]++
+		docs[d] = doc
+	}
+	return BuildIndex(docs, 3+classes)
+}
+
+// tieCuts returns the positions of a best-first ranking where a topN
+// cut or a threshold lands inside a run of equal scores: every i with
+// full[i].Score == full[i+1].Score, thinned to at most a handful.
+func tieCuts(full []Scored) []int {
+	var cuts []int
+	for i := 0; i+1 < len(full); i++ {
+		if full[i].Score == full[i+1].Score {
+			cuts = append(cuts, i)
+		}
+	}
+	if len(cuts) > 6 {
+		cuts = []int{cuts[0], cuts[1], cuts[len(cuts)/3], cuts[len(cuts)/2], cuts[len(cuts)-2], cuts[len(cuts)-1]}
+	}
+	return cuts
+}
+
+// TestSelectionTieAdversarialReference pins the selection's admission
+// floor on tieIndex: multi-term queries whose later terms reach lower
+// doc ids than the first, topN cut inside a run of bit-equal scores,
+// and MinScore equal to a tied score. The shared scan, the blended scan
+// (with a user that keeps the twins tied) and the dominant-list pass
+// must each reproduce their brute-force reference bit for bit. A floor
+// that rejects ties outright, or breaks them the wrong way, keeps the
+// wrong twins here.
+func TestSelectionTieAdversarialReference(t *testing.T) {
+	const beta = 0.25
+	for _, nDocs := range []int{98, 400} {
+		ix := tieIndex(nDocs)
+		user := make([]float64, ix.NumTerms())
+		for i := range user {
+			user[i] = float64(i%4) - 1.5
+		}
+		user[2] = user[1] // twins stay tied under the blend
+		queries := []map[int]int{
+			{1: 1, 2: 1},
+			{1: 1, 2: 1, 3: 1},
+			{1: 2, 2: 2, 5: 1, 8: 1},
+			{1: 1, 6: 1},
+			{2: 1, 4: 1, 7: 2},
+			{1: 1}, // one term: touched ascending, the control
+		}
+		type pass struct {
+			name string
+			run  func(qw map[int]float64, topN int, min float64) []Scored
+			ref  func(qw map[int]float64, topN int, min float64) []Scored
+		}
+		passes := []pass{
+			{"shared",
+				func(qw map[int]float64, n int, m float64) []Scored { return ix.RankWeights(qw, n, m) },
+				func(qw map[int]float64, n int, m float64) []Scored { return refRank(ix, qw, n, m) }},
+			{"user",
+				func(qw map[int]float64, n int, m float64) []Scored { return ix.RankBlended(qw, user, beta, n, m) },
+				func(qw map[int]float64, n int, m float64) []Scored { return refRankBlended(ix, qw, user, beta, n, m) }},
+			{"dominant",
+				func(qw map[int]float64, n int, m float64) []Scored { return ix.RankDominant(qw, nil, beta, n, m) },
+				func(qw map[int]float64, n int, m float64) []Scored { return refRankDominant(ix, qw, nil, beta, n, m) }},
+			{"dominant user",
+				func(qw map[int]float64, n int, m float64) []Scored { return ix.RankDominant(qw, user, beta, n, m) },
+				func(qw map[int]float64, n int, m float64) []Scored { return refRankDominant(ix, qw, user, beta, n, m) }},
+		}
+		for qi, counts := range queries {
+			qw := ix.QueryWeights(counts)
+			for _, p := range passes {
+				full := p.ref(qw, 0, math.Inf(-1))
+				cuts := tieCuts(full)
+				if len(cuts) == 0 {
+					t.Fatalf("docs %d query %d %s: no tied run in %d results; the index lost its ties", nDocs, qi, p.name, len(full))
+				}
+				topNs := []int{0, 1, 10, len(full)}
+				mins := []float64{math.Inf(-1)}
+				for _, i := range cuts {
+					topNs = append(topNs, i+1)         // cut between two tied documents
+					mins = append(mins, full[i].Score) // threshold exactly on a tie
+				}
+				for _, topN := range topNs {
+					for _, min := range mins {
+						label := fmt.Sprintf("docs %d query %d %s topN %d min %v", nDocs, qi, p.name, topN, min)
+						mustEqualScored(t, label, p.run(qw, topN, min), p.ref(qw, topN, min))
+					}
+				}
+			}
+		}
+	}
+}
+
 func mustEqualScored(t *testing.T, label string, got, want []Scored) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -57,6 +57,17 @@ func (h *Heap[T]) Offer(v T) {
 // Len returns the number of items currently kept.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
+// Worst returns the item the next Offer competes with — the worst kept —
+// once the heap holds k items; ok is false while it still has room (and
+// always for k = 0). A caller can compare against it inline and skip
+// Offer for every candidate the heap would turn away.
+func (h *Heap[T]) Worst() (v T, ok bool) {
+	if h.k == 0 || len(h.items) < h.k {
+		return v, false
+	}
+	return h.items[0], true
+}
+
 // Items returns the kept items in heap (not sorted) order. The slice
 // aliases the heap's storage; callers sort it as they see fit.
 func (h *Heap[T]) Items() []T { return h.items }

@@ -80,6 +80,26 @@ func TestOrderIndependence(t *testing.T) {
 	}
 }
 
+func TestWorstIsTheEvictionBar(t *testing.T) {
+	h := New(3, worse)
+	for i, it := range []item{{5, 0}, {9, 1}, {5, 2}} {
+		if _, ok := h.Worst(); ok {
+			t.Fatalf("after %d offers of 3: Worst reported a full heap", i)
+		}
+		h.Offer(it)
+	}
+	if w, ok := h.Worst(); !ok || w != (item{5, 2}) {
+		t.Fatalf("Worst = %+v, %v; want {5 2}, true", w, ok)
+	}
+	h.Offer(item{7, 3}) // evicts {5 2}
+	if w, _ := h.Worst(); w != (item{5, 0}) {
+		t.Fatalf("after eviction Worst = %+v, want {5 0}", w)
+	}
+	if _, ok := New(0, worse).Worst(); ok {
+		t.Fatal("k=0 heap has no worst item")
+	}
+}
+
 func TestZeroK(t *testing.T) {
 	h := New(0, worse)
 	h.Offer(item{1, 1})

@@ -3,10 +3,8 @@ package cubelsi
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/retrieve"
@@ -23,7 +21,7 @@ type BatchError struct {
 	Query int
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the worker goroutine's stack at the recovery point.
+	// Stack is the calling goroutine's stack at the recovery point.
 	Stack []byte
 }
 
@@ -163,55 +161,35 @@ func (e *Engine) results(scored []ir.Scored) []Result {
 	return out
 }
 
-// SearchBatch answers many queries at once, fanning out across
-// GOMAXPROCS goroutines. Results arrive in query order and are
-// identical to issuing each Query individually — the engine is
-// immutable, so batching only amortizes scheduling, never changes
-// rankings.
+// SearchBatch answers many queries at once. Results arrive in query
+// order and are identical to issuing each Query individually — the
+// engine is immutable, so batching never changes rankings.
+//
+// The queries run in order on the caller's goroutine. A query costs
+// microseconds, so a per-batch worker pool would spend on goroutines
+// and channel hand-offs what it saves, and its callers — server
+// handlers — already run one goroutine per request: concurrency comes
+// from concurrent requests, not from splitting one.
 //
 // A query whose evaluation panics (a corrupted model, an engine bug)
-// no longer kills the process mid-batch: the panic is recovered in the
-// worker, the query's slot comes back nil, every other query still
-// completes, and the joined error carries one *BatchError per failed
-// query — index, panic value, and the goroutine stack captured at
-// recovery. The error is nil when every query succeeded.
+// does not kill the process mid-batch: the panic is recovered, the
+// query's slot comes back nil, every other query still completes, and
+// the joined error carries one *BatchError per failed query — index,
+// panic value, and the stack captured at recovery. The error is nil
+// when every query succeeded.
 func (e *Engine) SearchBatch(queries []Query) ([][]Result, error) {
 	out := make([][]Result, len(queries))
-	errs := make([]error, len(queries))
-	runOne := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = &BatchError{Query: i, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		out[i] = e.Query(queries[i])
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i := range queries {
-			runOne(i)
-		}
-		return out, errors.Join(errs...)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				runOne(i)
-			}
+	var errs []error
+	for i, q := range queries {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					errs = append(errs, &BatchError{Query: i, Value: r, Stack: debug.Stack()})
+				}
+			}()
+			out[i] = e.Query(q)
 		}()
 	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return out, errors.Join(errs...)
 }
 

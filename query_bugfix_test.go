@@ -116,11 +116,11 @@ func TestQueryLimitWithMinScore(t *testing.T) {
 	}
 }
 
-// TestSearchBatchRecoversPanics pins the per-job panic recovery: a query
-// that panics mid-batch (here via a corrupted concept assignment) must
-// come back as a nil slot plus a joined error naming it, while every
-// other query in the batch still completes — the process, and the other
-// workers, survive.
+// TestSearchBatchRecoversPanics pins the per-query panic recovery: a
+// query that panics mid-batch (here via a corrupted concept assignment)
+// must come back as a nil slot plus a joined error naming it, while
+// every later query in the batch still completes — the process, and the
+// rest of the batch, survive.
 func TestSearchBatchRecoversPanics(t *testing.T) {
 	eng := buildCorpus(t)
 
