@@ -91,7 +91,7 @@ func (e *Engine) Quantization() string {
 }
 
 // Mapped reports whether the engine serves from a memory-mapped model
-// file (LoadMapped / WithMapped) rather than heap-decoded sections.
+// file (LoadFile with WithMapped) rather than heap-decoded sections.
 func (e *Engine) Mapped() bool { return e.mapped.Mapped() }
 
 // Close releases the model file mapping of a memory-mapped engine; the

@@ -75,9 +75,9 @@ func TestQuantizedCandidatesNeverChangeRanking(t *testing.T) {
 	}
 }
 
-// TestSaveLoadMappedRankingParity: Save→Load and Save→LoadMapped must
-// produce identical rankings (search and related tags), per the v4
-// acceptance criteria.
+// TestSaveLoadMappedRankingParity: Save→Load and Save→LoadFile with
+// WithMapped must produce identical rankings (search and related tags),
+// per the v4 acceptance criteria.
 func TestSaveLoadMappedRankingParity(t *testing.T) {
 	eng := buildCorpus(t)
 	path := filepath.Join(t.TempDir(), "m.clsi")

@@ -33,7 +33,7 @@ func TestBuildWithProgress(t *testing.T) {
 	if eng.Stats().Concepts != 2 {
 		t.Fatalf("stats = %+v", eng.Stats())
 	}
-	wantStages := []Stage{StageTensor, StageDecompose, StageDistances, StageCluster, StageIndex}
+	wantStages := []Stage{StageTensor, StageDecompose, StageEmbed, StageCluster, StageIndex}
 	if len(events) != 2*len(wantStages) {
 		t.Fatalf("got %d progress events, want %d: %v", len(events), 2*len(wantStages), events)
 	}

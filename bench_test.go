@@ -193,7 +193,7 @@ func BenchmarkEngineBuild(b *testing.B) {
 	assignments, cfg := tinyCorpus()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := New(assignments, cfg); err != nil {
+		if _, err := Build(context.Background(), FromAssignments(assignments), WithConfig(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkEngineSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
-		eng.Search([]string{tags[i%len(tags)]}, 10)
+		eng.Query(NewQuery([]string{tags[i%len(tags)]}, WithLimit(10)))
 	}
 }
 

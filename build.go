@@ -31,12 +31,6 @@ const (
 	StageEmbed     = core.StageEmbed
 	StageCluster   = core.StageCluster
 	StageIndex     = core.StageIndex
-
-	// StageDistances is the former name of StageEmbed, from when the
-	// pipeline unconditionally materialized the O(|T|²) distance matrix.
-	//
-	// Deprecated: use StageEmbed.
-	StageDistances = core.StageDistances //nolint:staticcheck // deliberate re-export of the deprecated alias
 )
 
 // Progress is one build-progress notification: each stage reports once
@@ -113,7 +107,6 @@ type BuildOption func(*buildSettings)
 type buildSettings struct {
 	cfg           Config
 	progress      ProgressFunc
-	exactSpectral bool
 	tuckerWorkers int
 	sketch        tucker.SketchOptions
 
@@ -140,17 +133,6 @@ func WithConfig(cfg Config) BuildOption {
 // WithProgress registers a per-stage progress observer.
 func WithProgress(fn ProgressFunc) BuildOption {
 	return func(s *buildSettings) { s.progress = fn }
-}
-
-// WithExactSpectral preserves the pre-embedding offline pipeline:
-// materialize the full |T|×|T| Theorem 2 distance matrix and spectrally
-// cluster it (Section V), exactly as the seed pipeline did. The default
-// embedding-first build clusters the Λ₂·Y⁽²⁾ embedding rows directly —
-// the same geometry by Theorem 2 at O(|T|·K·k₂) per k-means sweep — and
-// never pays the quadratic cost. Use this option for parity testing and
-// paper-faithful reproduction runs.
-func WithExactSpectral() BuildOption {
-	return func(s *buildSettings) { s.exactSpectral = true }
 }
 
 // WithTuckerParallelism bounds the worker pool the ALS decomposition
@@ -202,8 +184,8 @@ func WithPreviousModel(eng *Engine) BuildOption {
 
 // Build runs the offline pipeline over the source corpus and returns a
 // query-ready engine. The context is threaded through every stage —
-// including the ALS mode updates and the O(|T|²) distance loop — so
-// cancelling it aborts the build promptly with the context's error.
+// including each ALS mode update — so cancelling it aborts the build
+// promptly with the context's error.
 func Build(ctx context.Context, src Source, opts ...BuildOption) (*Engine, error) {
 	settings := buildSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
@@ -273,8 +255,7 @@ func coreOptions(settings buildSettings, st tagging.Stats) core.Options {
 			K:     cfg.Concepts,
 			Seed:  cfg.Seed,
 		},
-		ExactSpectral: settings.exactSpectral,
-		Progress:      settings.progress,
+		Progress: settings.progress,
 	}
 }
 
@@ -344,24 +325,4 @@ func fingerprintDataset(ds *tagging.Dataset) [32]byte {
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
-}
-
-// New builds an engine from in-memory assignments.
-//
-// Deprecated: use Build with FromAssignments, which adds context
-// cancellation and progress reporting — or NewIndex when the corpus
-// grows after the build. The "Migrating from one-shot Build" table in
-// README.md maps each legacy call to its replacement.
-func New(assignments []Assignment, cfg Config) (*Engine, error) {
-	return Build(context.Background(), FromAssignments(assignments), WithConfig(cfg))
-}
-
-// Open builds an engine from tab-separated "user\ttag\tresource" lines.
-//
-// Deprecated: use Build with FromTSV, which adds context cancellation
-// and progress reporting — or NewIndex when the corpus grows after the
-// build. The "Migrating from one-shot Build" table in README.md maps
-// each legacy call to its replacement.
-func Open(r io.Reader, cfg Config) (*Engine, error) {
-	return Build(context.Background(), FromTSV(r), WithConfig(cfg))
 }

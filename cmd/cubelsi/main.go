@@ -9,7 +9,7 @@
 //	cubelsi -data corpus.tsv -clusters
 //	cubelsi -data corpus.tsv -save model.clsi      # offline build
 //	cubelsi -load model.clsi -query "jazz"         # serve a saved model
-//	cubelsi -load old.model -save new.model        # upgrade v1/v2 → v3 format
+//	cubelsi -load old.model -save new.model        # upgrade v1–v4 → v5 format
 //	cubelsi -data corpus.tsv -update delta.tsv -save model.clsi
 //	                                               # incremental: warm-start rebuild
 //

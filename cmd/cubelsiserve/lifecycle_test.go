@@ -97,28 +97,26 @@ func statsVersion(t *testing.T, ts *httptest.Server) uint64 {
 	return st.ModelVersion
 }
 
-// TestUpdateEndpointAppliesDelta: POST /update folds the delta in, bumps
-// the served model version, and the new assignments become searchable.
+// TestUpdateEndpointAppliesDelta: the update endpoint, POST
+// /stream?flush=1, folds the delta in, answers the flush's UpdateReport,
+// bumps the served model version, and the new assignments become
+// searchable.
 func TestUpdateEndpointAppliesDelta(t *testing.T) {
-	idx := buildTestIndex(t)
-	ts := httptest.NewServer(newLifecycleServer(nil, idx, ""))
-	defer ts.Close()
+	_, ts := newStreamServer(t)
 
 	if v := statsVersion(t, ts); v != 1 {
 		t.Fatalf("initial model_version %d, want 1", v)
 	}
 
 	_, delta := testAssignments()
-	resp, raw := postJSON(t, ts, "/update", cubelsi.Delta{Add: delta})
+	resp, raw := postNDJSON(t, ts, "/stream?flush=1", ndjson(delta, "", 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d: %s", resp.StatusCode, raw)
 	}
-	var rep cubelsi.UpdateReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != 2 || rep.AddedAssignments != len(delta) || rep.Sweeps < 1 {
-		t.Fatalf("report = %+v", rep)
+	var sum streamSummary
+	mustUnmarshal(t, raw, &sum)
+	if rep := sum.UpdateReport; rep == nil || rep.Version != 2 || rep.AddedAssignments != len(delta) || rep.Sweeps < 1 {
+		t.Fatalf("report = %+v", sum.UpdateReport)
 	}
 	if v := statsVersion(t, ts); v != 2 {
 		t.Fatalf("post-update model_version %d, want 2", v)
@@ -227,18 +225,13 @@ func TestReadyzDistinctFromHealthz(t *testing.T) {
 // paths: each must answer with Content-Type application/json and the
 // {"error": "..."} envelope — including the mux-level 404 and 405.
 func TestErrorEnvelopeOnEveryErrorBranch(t *testing.T) {
-	idx := buildTestIndex(t)
-	corpusTS := httptest.NewServer(newLifecycleServer(nil, idx, ""))
-	defer corpusTS.Close()
+	_, corpusTS := newStreamServer(t)
 	_, loaded := buildTestEngine(t)
 	modelTS := httptest.NewServer(newLifecycleServer(loaded, nil, ""))
 	defer modelTS.Close()
 
 	base, _ := testAssignments()
-	removeAll, err := json.Marshal(cubelsi.Delta{Remove: base})
-	if err != nil {
-		t.Fatal(err)
-	}
+	removeAll := removeNDJSON(base)
 
 	cases := []struct {
 		name       string
@@ -262,12 +255,15 @@ func TestErrorEnvelopeOnEveryErrorBranch(t *testing.T) {
 		{"unknown path", modelTS, "GET", "/nosuchpath", "", http.StatusNotFound},
 		{"method not allowed", modelTS, "DELETE", "/search", "", http.StatusMethodNotAllowed},
 		{"healthz wrong method", modelTS, "POST", "/healthz", "", http.StatusMethodNotAllowed},
-		{"update on model-backed", modelTS, "POST", "/update", `{"add":[{"user":"u","tag":"t","resource":"r"}]}`, http.StatusConflict},
-		{"update malformed body", corpusTS, "POST", "/update", "{not json", http.StatusBadRequest},
-		{"update unknown field", corpusTS, "POST", "/update", `{"bogus":1}`, http.StatusBadRequest},
-		{"update empty delta", corpusTS, "POST", "/update", "{}", http.StatusBadRequest},
-		{"update empty assignment field", corpusTS, "POST", "/update", `{"add":[{"user":"u"}]}`, http.StatusUnprocessableEntity},
-		{"update removing whole corpus", corpusTS, "POST", "/update", string(removeAll), http.StatusUnprocessableEntity},
+		// The "update" rows drive the delta write path, POST /stream?flush=1;
+		// the retired POST /update is an unknown route.
+		{"update endpoint retired", corpusTS, "POST", "/update", `{"add":[{"user":"u","tag":"t","resource":"r"}]}`, http.StatusNotFound},
+		{"update on model-backed", modelTS, "POST", "/stream?flush=1", `{"user":"u","tag":"t","resource":"r"}`, http.StatusConflict},
+		{"update malformed body", corpusTS, "POST", "/stream?flush=1", "{not json", http.StatusBadRequest},
+		{"update unknown field", corpusTS, "POST", "/stream?flush=1", `{"op":"bogus","user":"u","tag":"t","resource":"r"}`, http.StatusBadRequest},
+		{"update empty delta", corpusTS, "POST", "/stream?flush=1", "{}", http.StatusBadRequest},
+		{"update empty assignment field", corpusTS, "POST", "/stream?flush=1", `{"user":"u"}`, http.StatusBadRequest},
+		{"update removing whole corpus", corpusTS, "POST", "/stream?flush=1", removeAll, http.StatusUnprocessableEntity},
 		{"reload on corpus-backed", corpusTS, "POST", "/reload", "{}", http.StatusConflict},
 		{"reload without model path", modelTS, "POST", "/reload", "{}", http.StatusBadRequest},
 		{"reload malformed body", modelTS, "POST", "/reload", "{not json", http.StatusBadRequest},
@@ -295,11 +291,12 @@ func TestErrorEnvelopeOnEveryErrorBranch(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("Content-Type %q, want application/json", ct)
 			}
-			var envelope map[string]string
+			// /stream's summary carries its counts beside the error.
+			var envelope map[string]any
 			if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 				t.Fatalf("error body is not the JSON envelope: %v", err)
 			}
-			if envelope["error"] == "" {
+			if msg, _ := envelope["error"].(string); msg == "" {
 				t.Fatalf("envelope = %v, want non-empty error", envelope)
 			}
 			if tc.wantStatus == http.StatusMethodNotAllowed && resp.Header.Get("Allow") == "" {
@@ -310,24 +307,22 @@ func TestErrorEnvelopeOnEveryErrorBranch(t *testing.T) {
 }
 
 // TestConcurrentSearchWithUpdateAndReload is the serving-layer race
-// test: search and batch traffic hammers the server while /update (on a
-// corpus-backed server) and /reload (on a model-backed one) swap
-// models. Run under -race in CI; the assertions also check monotonic
-// versions and well-formed responses throughout.
+// test: search and batch traffic hammers the server while flushed
+// /stream deltas (on a corpus-backed server) and /reload (on a
+// model-backed one) swap models. Run under -race in CI; the assertions
+// also check monotonic versions and well-formed responses throughout.
 func TestConcurrentSearchWithUpdateAndReload(t *testing.T) {
 	_, delta := testAssignments()
 
 	t.Run("update", func(t *testing.T) {
-		idx := buildTestIndex(t)
-		ts := httptest.NewServer(newLifecycleServer(nil, idx, ""))
-		defer ts.Close()
+		_, ts := newStreamServer(t)
 		hammer(t, ts, func() {
 			for round := range 3 {
-				d := cubelsi.Delta{Add: delta}
+				body := ndjson(delta, "", 0)
 				if round%2 == 1 {
-					d = cubelsi.Delta{Remove: delta}
+					body = removeNDJSON(delta)
 				}
-				if resp, raw := postJSON(t, ts, "/update", d); resp.StatusCode != http.StatusOK {
+				if resp, raw := postNDJSON(t, ts, "/stream?flush=1", body); resp.StatusCode != http.StatusOK {
 					t.Errorf("update status %d: %s", resp.StatusCode, raw)
 					return
 				}

@@ -3,8 +3,9 @@
 // and answer concurrent search queries as JSON. The serving model is a
 // versioned snapshot behind an atomic pointer, so it can be hot-swapped
 // under live traffic: corpus-backed servers (-data) fold assignment
-// deltas in through POST /update (warm-started incremental rebuild),
-// model-backed servers (-model) swap model files through POST /reload.
+// deltas in through POST /stream (micro-batched, warm-started
+// incremental rebuild), model-backed servers (-model) swap model files
+// through POST /reload.
 //
 // Usage:
 //
@@ -13,6 +14,11 @@
 //	cubelsiserve -data corpus.tsv -spool dir -notify http://r1:8081,http://r2:8082   (fleet writer)
 //	cubelsiserve -replica-of http://writer:8080 [-spool dir] [-replica-poll 30s]     (read replica)
 //
+// Each mode reads only its own flags, and a flag the selected mode does
+// not read is a usage error (exit 2) rather than silently ignored: the
+// serving flags below belong to -model and -replica-of, the build and
+// -stream-* flags to -data.
+//
 // -mmap memory-maps the model file instead of decoding it onto the heap
 // (a v4/v5 model opens in milliseconds at any size); -ann serves
 // /related through the IVF approximate index over the model's concept
@@ -20,14 +26,15 @@
 // depth C of candidates it keeps for ranking (default: the exact scan
 // over the whole corpus). All stick across /reload.
 //
-// Corpus-backed servers also accept a streaming delta log on POST
-// /stream (NDJSON assignment records, micro-batched under the
-// -stream-flush-* policy), and become the fleet's writer when -spool is
-// set: every published snapshot is saved as a versioned v4 model file,
-// served on GET /model, and announced to the -notify replicas, which
-// pull, SHA-256-verify and hot-swap it. Replicas never move backwards:
-// a version older than the serving one is discarded, and the skew a
-// lagging replica carries is visible in its /stats.
+// Corpus-backed servers accept their delta log on POST /stream (NDJSON
+// assignment records, micro-batched under the -stream-flush-* policy;
+// ?flush=1 applies the batch before answering), and become the fleet's
+// writer when -spool is set: every published snapshot is saved as a
+// versioned model file (format v5), served on GET /model, and announced
+// to the -notify replicas, which pull, SHA-256-verify and hot-swap it.
+// Replicas never move backwards: a version older than the serving one
+// is discarded, and the skew a lagging replica carries is visible in
+// its /stats.
 //
 // Endpoints:
 //
@@ -38,7 +45,6 @@
 //	POST /search                  JSON query, or {"queries": [...]} batch
 //	GET  /related?tag=jazz&n=10   nearest tags by purified distance (also nprobe=)
 //	GET  /clusters                distilled concepts as tag groups
-//	POST /update                  apply {"add": [...], "remove": [...]} delta (-data servers)
 //	POST /reload                  hot-swap a model file (-model servers)
 //	POST /stream                  NDJSON delta log, micro-batched (also ?firehose=1, ?flush=1)
 //	GET  /model                   current snapshot bytes + version/sha256 headers (writer)
@@ -56,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -65,7 +72,7 @@ import (
 
 func main() {
 	model := flag.String("model", "", "model file saved by cubelsi -save")
-	data := flag.String("data", "", "TSV corpus to build from when no -model is given")
+	data := flag.String("data", "", "TSV corpus to build from at startup (corpus-backed mode)")
 	addr := flag.String("addr", ":8080", "listen address")
 	mmap := flag.Bool("mmap", false, "memory-map the model file instead of decoding it onto the heap (v4 models open in milliseconds; applies to -model and every /reload)")
 	ann := flag.Bool("ann", false, "serve /related through the IVF ANN index instead of the exact scan (model-backed servers)")
@@ -88,15 +95,25 @@ func main() {
 	replicaPoll := flag.Duration("replica-poll", 30*time.Second, "anti-entropy poll interval against the writer when notifies are lost")
 	flag.Parse()
 
+	mode := serveMode(*model, *data, *replicaOf)
+	if mode == "" {
+		fmt.Fprintln(os.Stderr, "cubelsiserve: -model, -data or -replica-of is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModeFlags(mode, set); err != nil {
+		fmt.Fprintf(os.Stderr, "cubelsiserve: %v\n", err)
+		os.Exit(2)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	var srv *server
-	switch {
-	case *replicaOf != "":
-		if *data != "" {
-			fatal(errors.New("-replica-of and -data are mutually exclusive: a replica's corpus of record is its writer"))
-		}
+	switch mode {
+	case "model", "replica":
 		srv = newLifecycleServer(nil, nil, *model)
 		srv.mmap = *mmap
 		srv.ann = *ann || *annNprobe > 0 || *annRerank > 0
@@ -110,42 +127,27 @@ func main() {
 			srv.retrieveDepth = *rerankDepth
 		}
 		if *model != "" {
-			// Optional warm seed: serve this model until the first pull
-			// (its version also arms the monotonic guard).
+			// The model to serve; for a replica, an optional warm seed served
+			// until its first pull (its version also arms the monotonic
+			// guard).
 			eng, err := srv.loadModel(*model)
 			if err != nil {
 				fatal(err)
 			}
 			srv.eng.Store(eng)
 		}
-		sp := *spool
-		if sp == "" {
-			var err error
-			if sp, err = os.MkdirTemp("", "cubelsi-replica-*"); err != nil {
-				fatal(err)
+		if mode == "replica" {
+			sp := *spool
+			if sp == "" {
+				var err error
+				if sp, err = os.MkdirTemp("", "cubelsi-replica-*"); err != nil {
+					fatal(err)
+				}
 			}
+			srv.enableReplica(strings.TrimRight(*replicaOf, "/"), sp, *replicaPoll)
+			go srv.puller.Run(ctx, *replicaPoll)
 		}
-		srv.enableReplica(strings.TrimRight(*replicaOf, "/"), sp, *replicaPoll)
-		go srv.puller.Run(ctx, *replicaPoll)
-	case *model != "":
-		srv = newLifecycleServer(nil, nil, *model)
-		srv.mmap = *mmap
-		srv.ann = *ann || *annNprobe > 0 || *annRerank > 0
-		srv.annProbe = *annNprobe
-		srv.annRerank = *annRerank
-		srv.retrieveSrc = *retrieveSrc
-		if *rerankDepth > 0 {
-			if srv.retrieveSrc == "" {
-				srv.retrieveSrc = "exact"
-			}
-			srv.retrieveDepth = *rerankDepth
-		}
-		eng, err := srv.loadModel(*model)
-		if err != nil {
-			fatal(err)
-		}
-		srv.eng.Store(eng)
-	case *data != "":
+	case "data":
 		cfg := cubelsi.DefaultConfig()
 		cfg.ReductionRatios = [3]float64{*ratio, *ratio, *ratio}
 		cfg.Concepts = *concepts
@@ -185,10 +187,6 @@ func main() {
 			// writer converge without waiting for the first delta.
 			srv.publishSnapshot(idx.Snapshot())
 		}
-	default:
-		fmt.Fprintln(os.Stderr, "cubelsiserve: -model, -data or -replica-of is required")
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	if eng := srv.engine(); eng != nil {
@@ -233,6 +231,46 @@ func main() {
 			}
 		}
 	}
+}
+
+// Flags each serving mode reads; -addr is read by every mode. A flag
+// set outside its mode would be ignored silently, so main rejects it.
+var (
+	servingFlags = []string{"mmap", "ann", "ann-nprobe", "ann-rerank", "retrieve", "rerank"}
+	modeFlags    = map[string][]string{
+		"model": append([]string{"model"}, servingFlags...),
+		"data": {"data", "concepts", "ratio", "min-support", "seed",
+			"stream-flush-n", "stream-flush-interval", "stream-flush-drift", "stream-queue", "stream-idem-window",
+			"spool", "notify"},
+		"replica": append([]string{"replica-of", "replica-poll", "spool", "model"}, servingFlags...),
+	}
+)
+
+// serveMode selects the serving mode from the mode flags, in precedence
+// order: a replica (-replica-of, optionally warm-seeded by -model), a
+// model-backed server (-model), a corpus-backed one (-data). It returns
+// "" when none is set.
+func serveMode(model, data, replicaOf string) string {
+	switch {
+	case replicaOf != "":
+		return "replica"
+	case model != "":
+		return "model"
+	case data != "":
+		return "data"
+	}
+	return ""
+}
+
+// checkModeFlags rejects the first flag in set (names as flag.Visit
+// reports them) that mode does not read.
+func checkModeFlags(mode string, set []string) error {
+	for _, name := range set {
+		if name != "addr" && !slices.Contains(modeFlags[mode], name) {
+			return fmt.Errorf("-%s is not read in %s mode", name, mode)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -14,9 +14,9 @@ import (
 )
 
 // enableWriter turns a corpus-backed server into the fleet's writer: it
-// spools every published snapshot (the initial build, each /update,
-// each streaming flush) to a versioned v4 model file, serves the bytes
-// on GET /model, and — when notify targets are configured — broadcasts
+// spools every published snapshot (the initial build and each /stream
+// flush) to a versioned model file, serves the bytes on GET /model,
+// and — when notify targets are configured — broadcasts
 // {version, sha256} announcements so replicas pull promptly instead of
 // waiting for their anti-entropy poll.
 func (s *server) enableWriter(spool string, targets []string) {

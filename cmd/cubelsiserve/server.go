@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,24 +35,24 @@ func logBatchPanics(err error) {
 	}
 }
 
-// maxSearchBody bounds POST request bodies (search, update, reload).
-// Oversized bodies are rejected with 413 instead of being read to
-// completion.
+// maxSearchBody bounds JSON POST request bodies (search, reload,
+// notify). Oversized bodies are rejected with 413 instead of being read
+// to completion.
 const maxSearchBody = 1 << 20 // 1 MiB
 
 // server wraps the engine lifecycle with the HTTP API. The current
 // engine is always an immutable snapshot: request handlers load it once
-// and serve the whole request from it, so /update and /reload can swap
-// in a new model while /search traffic is in flight — no locks on the
-// read path, no torn state.
+// and serve the whole request from it, so /stream flushes and /reload
+// can swap in a new model while /search traffic is in flight — no locks
+// on the read path, no torn state.
 //
 // Exactly one of two write paths is available per process: corpus-backed
 // servers (built with -data) own a cubelsi.Index — the index's own
-// atomic snapshot is the single source of truth, and POST /update goes
-// through Index.Apply (which serializes writers itself). Model-backed
-// servers (started with -model) hold the engine behind the server's own
-// atomic pointer and accept POST /reload to hot-swap a model file; the
-// mutex serializes reloads only.
+// atomic snapshot is the single source of truth, and POST /stream feeds
+// its Ingestor, whose single flush goroutine runs every Index.Apply.
+// Model-backed servers (started with -model) hold the engine behind the
+// server's own atomic pointer and accept POST /reload to hot-swap a
+// model file; the mutex serializes reloads only.
 type server struct {
 	started time.Time
 	mux     *httpx.Mux
@@ -96,10 +95,11 @@ type server struct {
 // write path (tests, and the minimal embedded use).
 func newServer(eng *cubelsi.Engine) *server { return newLifecycleServer(eng, nil, "") }
 
-// newLifecycleServer builds the HTTP handler: idx enables POST /update,
-// modelPath enables POST /reload. A nil engine (with idx nil) starts
-// not-ready: /readyz and every query endpoint return 503 until an
-// engine is set.
+// newLifecycleServer builds the HTTP handler: idx makes the server
+// corpus-backed (POST /stream once enableStreaming attaches an
+// ingestor), modelPath enables POST /reload. A nil engine (with idx
+// nil) starts not-ready: /readyz and every query endpoint return 503
+// until an engine is set.
 func newLifecycleServer(eng *cubelsi.Engine, idx *cubelsi.Index, modelPath string) *server {
 	s := &server{started: time.Now(), mux: httpx.NewMux(), idx: idx, modelPath: modelPath}
 	if eng != nil {
@@ -112,7 +112,6 @@ func newLifecycleServer(eng *cubelsi.Engine, idx *cubelsi.Index, modelPath strin
 	s.mux.HandleFunc("POST /search", s.handleSearchPost)
 	s.mux.HandleFunc("GET /related", s.handleRelated)
 	s.mux.HandleFunc("GET /clusters", s.handleClusters)
-	s.mux.HandleFunc("POST /update", s.handleUpdate)
 	s.mux.HandleFunc("POST /reload", s.handleReload)
 	s.mux.HandleFunc("POST /stream", s.handleStream)
 	return s
@@ -200,7 +199,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // extendDeadline lifts the server-wide read/write deadlines for one
-// long-running request (update/reload). Errors are ignored: recorders
+// long-running request (stream/reload). Errors are ignored: recorders
 // and exotic ResponseWriters don't support deadlines, and the fallback
 // is simply the original timeout behavior.
 func extendDeadline(w http.ResponseWriter) {
@@ -325,75 +324,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleUpdate applies an assignment delta to the corpus-backed index
-// and atomically swaps the new snapshot into serving. Model-backed
-// servers answer 409: they have no corpus of record to fold deltas
-// into — reload a new model file instead.
-func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if s.idx == nil {
-		writeError(w, http.StatusConflict, "server is model-backed; POST /reload a new model file instead")
-		return
-	}
-	if s.notReady(w) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSearchBody)
-	var delta cubelsi.Delta
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&delta); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	if len(delta.Add) == 0 && len(delta.Remove) == 0 {
-		writeError(w, http.StatusBadRequest, "empty delta: provide add and/or remove assignments")
-		return
-	}
-
-	// A warm rebuild takes minutes at production corpus scales (and
-	// concurrent updates serialize behind Index.mu), so the server-wide
-	// write deadline would kill the connection mid-Apply and roll the
-	// update back. Lift it for this request only; search traffic keeps
-	// the tight deadline.
-	extendDeadline(w)
-
-	// Index.Apply serializes concurrent writers itself and publishes the
-	// new snapshot atomically; nothing to synchronize here.
-	rep, err := s.idx.Apply(r.Context(), delta)
-	if err != nil {
-		// A cancelled/expired request context is not the delta's fault —
-		// the log was rolled back and a retry can succeed. Keep 4xx for
-		// deltas the corpus actually rejects.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, "apply aborted: %v", err)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, "apply: %v", err)
-		return
-	}
-	eng := s.idx.Snapshot()
-	// The writer publishes the fresh snapshot to its replicas before
-	// answering, so a scripted rollout can chain "update, then poll the
-	// fleet for model_version" without a race against the spool.
-	if s.pub != nil {
-		s.publishSnapshot(eng)
-	}
-	writeJSON(w, http.StatusOK, updateResponse{
-		UpdateReport:      rep,
-		ModelVersion:      eng.Version(),
-		SourceFingerprint: eng.SourceFingerprint(),
-	})
-}
-
-// updateResponse decorates the raw apply report with the identity of
-// the snapshot now serving, so operators can script rollouts without a
-// follow-up /stats call.
-type updateResponse struct {
-	*cubelsi.UpdateReport
-	ModelVersion      uint64 `json:"model_version"`
-	SourceFingerprint string `json:"source_fingerprint,omitempty"`
-}
-
 // reloadRequest is the optional POST /reload body; an empty body
 // reloads the path the server was started with.
 type reloadRequest struct {
@@ -417,7 +347,7 @@ type reloadResponse struct {
 // file swap would silently fork it.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.idx != nil {
-		writeError(w, http.StatusConflict, "server is corpus-backed; POST /update deltas instead")
+		writeError(w, http.StatusConflict, "server is corpus-backed; POST /stream deltas instead")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSearchBody)
@@ -431,7 +361,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Loading a large model file can outlast the server-wide write
-	// deadline; lift it for this request only (see handleUpdate).
+	// deadline; lift it for this request only.
 	extendDeadline(w)
 
 	s.mu.Lock()
@@ -567,7 +497,7 @@ func writeBodyError(w http.ResponseWriter, err error) {
 // handleSearchPost answers a single JSON query, or a batch through
 // Engine.SearchBatch, which runs the queries in order on this handler's
 // goroutine — concurrency comes from concurrent requests. The engine
-// snapshot is loaded once per request, so a concurrent update or reload
+// snapshot is loaded once per request, so a concurrent flush or reload
 // never splits a batch across two models.
 func (s *server) handleSearchPost(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {

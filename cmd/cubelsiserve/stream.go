@@ -40,8 +40,16 @@ type streamSummary struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 	Error        string `json:"error,omitempty"`
 	// ModelVersion is the serving version after a ?flush=1 request — the
-	// version at which every accepted record above is visible.
-	ModelVersion uint64 `json:"model_version,omitempty"`
+	// version at which every accepted record above is visible — and
+	// SourceFingerprint identifies the cleaned corpus that snapshot was
+	// built from, so rollout tooling can check a fleet's lineage without
+	// a follow-up /stats call.
+	ModelVersion      uint64 `json:"model_version,omitempty"`
+	SourceFingerprint string `json:"source_fingerprint,omitempty"`
+	// UpdateReport is the forced flush's report (its keys inline: version,
+	// added_assignments, sweeps, fit, …); absent when the flush found
+	// nothing pending.
+	*cubelsi.UpdateReport
 }
 
 // handleStream ingests an NDJSON delta log: one StreamRecord per line,
@@ -51,8 +59,10 @@ type streamSummary struct {
 // summary; the first backpressured record stops reading and answers 429
 // with a Retry-After header (everything before it was accepted — a
 // resumed upload may redeliver it safely under client sequence
-// numbers). ?flush=1 forces a synchronous flush after the last record
-// and reports the resulting model version.
+// numbers). ?flush=1 forces a synchronous flush after the last record —
+// of everything pending, other producers' records included — and
+// reports the resulting model version, source fingerprint and update
+// report. A batch the corpus rejects answers 422 and is dropped.
 //
 // ?firehose=1 switches to a long-lived streaming exchange: each input
 // line is answered immediately with its own JSON ack line (accepted,
@@ -167,7 +177,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if forceFlush {
-		if err := s.ing.Flush(r.Context()); err != nil {
+		rep, err := s.ing.Flush(r.Context())
+		if err != nil {
 			if firehose {
 				ack(streamAck{Line: line + 1, Status: "error", Error: fmt.Sprintf("flush: %v", err)})
 				return
@@ -176,7 +187,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusUnprocessableEntity, summary)
 			return
 		}
-		summary.ModelVersion = s.engine().Version()
+		eng := s.engine()
+		summary.ModelVersion = eng.Version()
+		summary.SourceFingerprint = eng.SourceFingerprint()
+		summary.UpdateReport = rep
 	}
 	if firehose {
 		if summary.ModelVersion != 0 {

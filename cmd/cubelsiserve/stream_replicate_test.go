@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/codec"
 	"repro/internal/replicate"
 )
 
@@ -37,6 +40,11 @@ func ndjson(recs []cubelsi.Assignment, client string, seqFrom uint64) string {
 		}
 	}
 	return b.String()
+}
+
+// removeNDJSON renders remove records for recs.
+func removeNDJSON(recs []cubelsi.Assignment) string {
+	return strings.ReplaceAll(ndjson(recs, "", 0), `{"op":"add"`, `{"op":"remove"`)
 }
 
 func postNDJSON(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -208,15 +216,14 @@ func TestStreamUnavailableWithoutIngestor(t *testing.T) {
 }
 
 // TestUpdateAndReloadReportModelIdentity is the rollout-scripting fix:
-// /update and /reload success JSON must carry model_version and
-// source_fingerprint, so operators never need a follow-up /stats call.
+// the update (POST /stream?flush=1) and /reload success JSON must carry
+// model_version and source_fingerprint, so operators never need a
+// follow-up /stats call.
 func TestUpdateAndReloadReportModelIdentity(t *testing.T) {
-	idx := buildTestIndex(t)
-	ts := httptest.NewServer(newLifecycleServer(nil, idx, ""))
-	defer ts.Close()
+	s, ts := newStreamServer(t)
 
 	_, delta := testAssignments()
-	resp, raw := postJSON(t, ts, "/update", cubelsi.Delta{Add: delta})
+	resp, raw := postNDJSON(t, ts, "/stream?flush=1", ndjson(delta, "", 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d: %s", resp.StatusCode, raw)
 	}
@@ -229,12 +236,12 @@ func TestUpdateAndReloadReportModelIdentity(t *testing.T) {
 	if up.ModelVersion != 2 || up.Version != 2 {
 		t.Fatalf("update response versions = %+v", up)
 	}
-	if up.SourceFingerprint == "" || up.SourceFingerprint != idx.Snapshot().SourceFingerprint() {
+	if up.SourceFingerprint == "" || up.SourceFingerprint != s.idx.Snapshot().SourceFingerprint() {
 		t.Fatalf("update source_fingerprint = %q", up.SourceFingerprint)
 	}
 
 	// Reload on a model-backed server.
-	eng := idx.Snapshot()
+	eng := s.idx.Snapshot()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.clsi")
 	if err := eng.SaveFile(path); err != nil {
@@ -253,6 +260,53 @@ func TestUpdateAndReloadReportModelIdentity(t *testing.T) {
 	}
 }
 
+// TestStreamFlushMatchesIndexApply: one delta sent through POST
+// /stream?flush=1 and the same delta folded in with Index.Apply on an
+// identical index publish the same snapshot — the same model_version,
+// source_fingerprint, UpdateReport counts and saved model bytes.
+func TestStreamFlushMatchesIndexApply(t *testing.T) {
+	s, ts := newStreamServer(t)
+	direct := buildTestIndex(t)
+	base, delta := testAssignments()
+	removed := base[:2]
+	body := ndjson(delta, "", 0) + removeNDJSON(removed)
+
+	resp, raw := postNDJSON(t, ts, "/stream?flush=1", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d: %s", resp.StatusCode, raw)
+	}
+	var sum streamSummary
+	mustUnmarshal(t, raw, &sum)
+	want, err := direct.Apply(context.Background(), cubelsi.Delta{Add: delta, Remove: removed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := direct.Snapshot()
+	if sum.ModelVersion != eng.Version() || sum.SourceFingerprint != eng.SourceFingerprint() {
+		t.Fatalf("stream published v%d/%q, Apply v%d/%q",
+			sum.ModelVersion, sum.SourceFingerprint, eng.Version(), eng.SourceFingerprint())
+	}
+	if want.RemovedAssignments != len(removed) {
+		t.Fatalf("Apply removed %d assignments, want %d", want.RemovedAssignments, len(removed))
+	}
+	// Everything but the wall-clock timings must agree.
+	counts := func(r cubelsi.UpdateReport) cubelsi.UpdateReport {
+		r.TensorMS, r.DecomposeMS, r.EmbedMS, r.ClusterMS, r.IndexMS, r.TotalMS = 0, 0, 0, 0, 0, 0
+		return r
+	}
+	if got := sum.UpdateReport; got == nil || counts(*got) != counts(*want) {
+		t.Fatalf("stream report %+v, Apply report %+v", got, want)
+	}
+
+	var streamed, applied bytes.Buffer
+	if err := errors.Join(s.idx.Snapshot().Save(&streamed), eng.Save(&applied)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), applied.Bytes()) {
+		t.Fatalf("model bytes differ: %d via /stream, %d via Apply", streamed.Len(), applied.Len())
+	}
+}
+
 // newReplicaServer builds a replica wired to the given writer test
 // server, spooling into dir, with its pull loop NOT started — tests
 // drive Sync explicitly for determinism.
@@ -267,7 +321,7 @@ func newReplicaServer(t *testing.T, writerURL, spool string) (*server, *httptest
 
 // TestReplicationFleetConvergence: a writer streams a delta, publishes
 // the snapshot, and both replicas converge to the same fingerprinted
-// version through notify-then-pull; /update and /stream both publish.
+// version through notify-then-pull.
 func TestReplicationFleetConvergence(t *testing.T) {
 	idx := buildTestIndex(t)
 	ws := newLifecycleServer(nil, idx, "")
@@ -333,10 +387,14 @@ func TestReplicationFleetConvergence(t *testing.T) {
 	if wst.Replication == nil || wst.Replication.Role != "writer" || wst.Replication.PublishedVersion != 2 {
 		t.Fatalf("writer replication section = %+v", wst.Replication)
 	}
-	// Replica spool files are byte-identical to the writer's snapshot.
+	// Replica spool files are byte-identical to the writer's snapshot,
+	// which is written in the current model format.
 	wantBytes, err := os.ReadFile(filepath.Join(spool, "model-v2.clsi"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(wantBytes) < 8 || [4]byte(wantBytes[:4]) != codec.Magic || binary.LittleEndian.Uint32(wantBytes[4:8]) != codec.Version {
+		t.Fatalf("spooled model does not start with %q + format v%d", codec.Magic[:], codec.Version)
 	}
 	for _, r := range []*server{r1, r2} {
 		got, err := os.ReadFile(filepath.Join(r.puller.Spool, "model-v2.clsi"))

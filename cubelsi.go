@@ -141,7 +141,7 @@ type Engine struct {
 	quant16 *quant.Float16
 
 	// mapped owns the model-file memory mapping of an engine opened with
-	// LoadMapped / WithMapped; nil for heap-decoded engines.
+	// LoadFile(…, WithMapped()); nil for heap-decoded engines.
 	mapped *codec.Mapping
 
 	// userFactors is the compacted user-mode view of the Tucker Y⁽¹⁾

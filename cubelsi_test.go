@@ -1,6 +1,8 @@
 package cubelsi
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,10 +49,7 @@ func testConfig() Config {
 }
 
 func TestEngineBuildAndStats(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := buildCorpus(t)
 	st := eng.Stats()
 	if st.Tags != 6 || st.Resources != 8 || st.Users != 12 {
 		t.Fatalf("stats = %+v", st)
@@ -66,11 +65,8 @@ func TestEngineBuildAndStats(t *testing.T) {
 func TestSearchCrossSynonym(t *testing.T) {
 	// The headline behavior: searching a synonym retrieves resources even
 	// when tagged with a *different* synonym, via the shared concept.
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Search([]string{"mp3"}, 0)
+	eng := buildCorpus(t)
+	res := eng.Query(NewQuery([]string{"mp3"}, WithLimit(0)))
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -91,10 +87,7 @@ func TestSearchCrossSynonym(t *testing.T) {
 }
 
 func TestConceptsSeparateCommunities(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := buildCorpus(t)
 	audio, err := eng.ConceptOf("audio")
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +112,7 @@ func TestConceptsSeparateCommunities(t *testing.T) {
 }
 
 func TestRelatedTags(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := buildCorpus(t)
 	rel, err := eng.RelatedTags("audio", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +132,7 @@ func TestRelatedTags(t *testing.T) {
 }
 
 func TestDistanceSymmetricAndCaseFolded(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := buildCorpus(t)
 	ab, err := eng.Distance("audio", "mp3")
 	if err != nil {
 		t.Fatal(err)
@@ -164,67 +151,66 @@ func TestDistanceSymmetricAndCaseFolded(t *testing.T) {
 }
 
 func TestOpenTSV(t *testing.T) {
+	// The same assignments read from TSV open the same engine as the
+	// in-memory source: same statistics, same ranked answers.
 	var sb strings.Builder
 	for _, a := range corpus() {
 		sb.WriteString(a.User + "\t" + a.Tag + "\t" + a.Resource + "\n")
 	}
-	eng, err := Open(strings.NewReader(sb.String()), testConfig())
+	eng, err := Build(context.Background(), FromTSV(strings.NewReader(sb.String())), WithConfig(testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().Tags != 6 {
-		t.Fatalf("stats = %+v", eng.Stats())
+	want := buildCorpus(t)
+	if !reflect.DeepEqual(eng.Stats(), want.Stats()) {
+		t.Fatalf("stats = %+v, want %+v", eng.Stats(), want.Stats())
+	}
+	q := NewQuery([]string{"mp3"}, WithLimit(0))
+	if got, exp := eng.Query(q), want.Query(q); len(got) == 0 || !reflect.DeepEqual(got, exp) {
+		t.Fatalf("TSV results = %v, want %v", got, exp)
 	}
 }
 
 func TestSearchUnknownTags(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := eng.Search([]string{"nosuchtag"}, 5); len(res) != 0 {
+	eng := buildCorpus(t)
+	if res := eng.Query(NewQuery([]string{"nosuchtag"}, WithLimit(5))); len(res) != 0 {
 		t.Fatalf("unknown tag should yield nothing: %v", res)
 	}
 	// Mixed known/unknown still works.
-	if res := eng.Search([]string{"nosuchtag", "audio"}, 5); len(res) == 0 {
+	if res := eng.Query(NewQuery([]string{"nosuchtag", "audio"}, WithLimit(5))); len(res) == 0 {
 		t.Fatal("mixed query should still match")
 	}
 }
 
 func TestTopNLimit(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := eng.Search([]string{"audio"}, 2); len(res) != 2 {
+	eng := buildCorpus(t)
+	if res := eng.Query(NewQuery([]string{"audio"}, WithLimit(2))); len(res) != 2 {
 		t.Fatalf("topN=2 returned %d", len(res))
 	}
 }
 
 func TestErrorPaths(t *testing.T) {
-	if _, err := New([]Assignment{{User: "", Tag: "t", Resource: "r"}}, testConfig()); err == nil {
+	ctx := context.Background()
+	if _, err := Build(ctx, FromAssignments([]Assignment{{User: "", Tag: "t", Resource: "r"}}), WithConfig(testConfig())); err == nil {
 		t.Fatal("empty field should error")
 	}
 	cfg := testConfig()
 	cfg.ReductionRatios = [3]float64{0.5, 50, 50}
-	if _, err := New(corpus(), cfg); err == nil {
+	if _, err := Build(ctx, FromAssignments(corpus()), WithConfig(cfg)); err == nil {
 		t.Fatal("ratio < 1 should error")
 	}
 	cfg = testConfig()
 	cfg.MinSupport = 10000
-	if _, err := New(corpus(), cfg); err == nil {
+	if _, err := Build(ctx, FromAssignments(corpus()), WithConfig(cfg)); err == nil {
 		t.Fatal("over-aggressive cleaning should error")
 	}
-	if _, err := Open(strings.NewReader("bad line\n"), testConfig()); err == nil {
+	if _, err := Build(ctx, FromTSV(strings.NewReader("bad line\n")), WithConfig(testConfig())); err == nil {
 		t.Fatal("malformed TSV should error")
 	}
 }
 
 func TestHasTagAndTags(t *testing.T) {
-	eng, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := buildCorpus(t)
 	if !eng.HasTag("audio") || !eng.HasTag("AUDIO") {
 		t.Fatal("HasTag should be case-insensitive under Lowercase")
 	}
@@ -237,16 +223,9 @@ func TestHasTagAndTags(t *testing.T) {
 }
 
 func TestDeterministicBuilds(t *testing.T) {
-	a, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(corpus(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := a.Search([]string{"audio"}, 5)
-	rb := b.Search([]string{"audio"}, 5)
+	a, b := buildCorpus(t), buildCorpus(t)
+	ra := a.Query(NewQuery([]string{"audio"}, WithLimit(5)))
+	rb := b.Query(NewQuery([]string{"audio"}, WithLimit(5)))
 	if len(ra) != len(rb) {
 		t.Fatal("nondeterministic result count")
 	}

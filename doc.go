@@ -33,15 +33,16 @@
 //	err = eng.Save(w)
 //	eng, err = cubelsi.Load(r)
 //
-// The current format (v4) is aligned and offset-indexed so a model
-// file can be memory-mapped and served zero-copy — LoadMapped (or
-// LoadFile with WithMapped) opens a multi-gigabyte model in
-// milliseconds — and can carry optional int8/float16 quantized
-// embedding views for ANN candidate generation (WithInt8Embedding,
-// WithFloat16Embedding). Engines derived with WithANN answer
-// RelatedTags through an inverted-file index over the concept
-// centroids instead of the exact scan. All older formats (v1–v3) still
-// load through the same calls.
+// The current format (v5) is aligned and offset-indexed so a model
+// file can be memory-mapped and served zero-copy — LoadFile with
+// WithMapped opens a multi-gigabyte model in milliseconds — and can
+// carry optional int8/float16 quantized embedding views for ANN
+// candidate generation (WithInt8Embedding, WithFloat16Embedding) and
+// the compacted user-mode factors personalized queries blend in
+// (WithUserFactors). Engines derived with WithANN answer RelatedTags
+// through an inverted-file index over the concept centroids instead of
+// the exact scan. All older formats (v1–v4) still load through the
+// same calls.
 //
 // # Queries
 //
@@ -86,10 +87,11 @@
 //		cubelsi.WithFlushDrift(0.05))
 //	status, err := ing.Offer(cubelsi.StreamRecord{
 //		User: "u9", Tag: "jazz", Resource: "r3", Client: "feed", Seq: 17})
-//	err = ing.Flush(ctx) // synchronous: returns once the batch serves
+//	report, err := ing.Flush(ctx) // synchronous: returns once the batch serves
 //
-// cmd/cubelsiserve exposes the Ingestor as POST /stream (NDJSON, with
-// an optional long-lived firehose mode), and its replication plane
+// cmd/cubelsiserve exposes the Ingestor as POST /stream, its one write
+// endpoint (NDJSON, with an optional long-lived firehose mode and a
+// ?flush=1 that answers the flush's report), and its replication plane
 // (internal/replicate) distributes each published snapshot to read-only
 // replicas — SHA-256-verified, monotonically versioned. See
 // docs/OPERATIONS.md for the operator's view of the whole fleet.

@@ -72,7 +72,7 @@ func ExampleNewIngestor() {
 
 	// Flush synchronously: when it returns, the batch is applied and the
 	// new snapshot serves.
-	if err := ing.Flush(ctx); err != nil {
+	if _, err := ing.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving model v%d after flush\n", idx.Snapshot().Version())
@@ -81,11 +81,11 @@ func ExampleNewIngestor() {
 	// serving model v2 after flush
 }
 
-// ExampleLoadMapped saves a model in the v4 format and re-opens it
+// ExampleWithMapped saves a model and re-opens it with LoadFile
 // memory-mapped: numeric sections alias the file mapping instead of
 // being decoded onto the heap, so even multi-gigabyte models open in
 // milliseconds. The engine owns the mapping — Close releases it.
-func ExampleLoadMapped() {
+func ExampleWithMapped() {
 	cfg := cubelsi.DefaultConfig()
 	cfg.ReductionRatios = [3]float64{2, 2, 2}
 	cfg.Concepts = 2
@@ -108,7 +108,7 @@ func ExampleLoadMapped() {
 		log.Fatal(err)
 	}
 
-	mapped, err := cubelsi.LoadMapped(path)
+	mapped, err := cubelsi.LoadFile(path, cubelsi.WithMapped())
 	if err != nil {
 		log.Fatal(err)
 	}

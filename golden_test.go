@@ -1,6 +1,7 @@
 package cubelsi
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -50,7 +51,8 @@ func tinyCorpus() ([]Assignment, Config) {
 // corpus cannot produce.
 func tinyEngine(tb testing.TB) *Engine {
 	tb.Helper()
-	eng, err := New(tinyCorpus())
+	assignments, cfg := tinyCorpus()
+	eng, err := Build(context.Background(), FromAssignments(assignments), WithConfig(cfg))
 	if err != nil {
 		tb.Fatal(err)
 	}

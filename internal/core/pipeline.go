@@ -53,12 +53,6 @@ const (
 	NumStages = int(StageIndex) + 1
 )
 
-// StageDistances is the former name of StageEmbed, from when the
-// pipeline unconditionally materialized the all-pairs distance matrix.
-//
-// Deprecated: use StageEmbed.
-const StageDistances = StageEmbed
-
 // String returns the stage's short name.
 func (s Stage) String() string {
 	switch s {

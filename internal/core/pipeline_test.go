@@ -189,9 +189,6 @@ func TestStageString(t *testing.T) {
 		StageCluster:   "cluster",
 		StageIndex:     "index",
 	}
-	if StageDistances != StageEmbed {
-		t.Fatal("StageDistances must alias StageEmbed")
-	}
 	if len(names) != NumStages {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(names))
 	}

@@ -6,20 +6,18 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/tagging"
-	"repro/internal/tucker"
 )
 
 // TestGoldenParityPublicAPI is the public-API golden parity check: the
 // default embedding-first build must rank identically (within float
 // tolerance) to the seed spectral pipeline, preserved behind
-// WithExactSpectral, on the structured test corpus.
+// core.Options.ExactSpectral, on the structured test corpus.
 func TestGoldenParityPublicAPI(t *testing.T) {
 	embedded := buildCorpus(t)
-	exact := buildCorpus(t, WithConfig(testConfig()), WithExactSpectral())
+	exact := engineFromPipeline(testConfig(), buildExactPipeline(t), 1)
 
 	// Same concept partitions: every pair of tags agrees on whether they
 	// share a concept.
@@ -66,32 +64,34 @@ func TestGoldenParityPublicAPI(t *testing.T) {
 	}
 }
 
+// buildExactPipeline runs the seed pipeline — the dense D̂, spectrally
+// clustered (core.Options.ExactSpectral) — over the structured test
+// corpus, with the public configuration mapped exactly as Build maps it.
+func buildExactPipeline(t *testing.T) *core.Pipeline {
+	t.Helper()
+	cfg := testConfig()
+	ds, err := cleanSource(FromAssignments(corpus()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := coreOptions(buildSettings{cfg: cfg}, ds.Stats())
+	opts.ExactSpectral = true
+	p, err := core.Build(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // buildV1Bytes runs the exact pipeline and serializes it in the legacy
 // quadratic v1 format. withDecomp false drops the Tucker section,
 // producing a file that can only be served from the dense matrix.
 func buildV1Bytes(t *testing.T, withDecomp bool) ([]byte, *core.Pipeline, *tagging.Dataset) {
 	t.Helper()
-	raw := tagging.NewDataset()
-	for _, a := range corpus() {
-		raw.Add(a.User, a.Tag, a.Resource)
-	}
 	cfg := testConfig()
-	ds := tagging.Clean(raw, tagging.CleanOptions{
-		MinSupport:     cfg.MinSupport,
-		DropSystemTags: cfg.DropSystemTags,
-		Lowercase:      cfg.Lowercase,
-	})
+	p := buildExactPipeline(t)
+	ds := p.DS
 	st := ds.Stats()
-	j1, j2, j3 := tucker.FromRatios(st.Users, st.Tags, st.Resources,
-		cfg.ReductionRatios[0], cfg.ReductionRatios[1], cfg.ReductionRatios[2])
-	p, err := core.Build(context.Background(), ds, core.Options{
-		Tucker:        tucker.Options{J1: j1, J2: j2, J3: j3, Seed: uint64(cfg.Seed)},
-		Spectral:      cluster.SpectralOptions{K: cfg.Concepts, Seed: cfg.Seed},
-		ExactSpectral: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	decomp := p.Decomposition
 	if !withDecomp {
 		decomp = nil

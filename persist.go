@@ -246,10 +246,12 @@ type LoadOption func(*loadSettings)
 type loadSettings struct{ mapped bool }
 
 // WithMapped makes LoadFile memory-map the model file instead of
-// decoding it onto the heap: a v4 model opens in milliseconds at any
+// decoding it onto the heap: a v4+ model opens in milliseconds at any
 // size, its numeric sections alias the mapping (page cache shared
-// across replicas), and the engine's Close releases the mapping. Files
-// in older formats are decoded onto the heap as usual.
+// across replicas), and the engine's Close releases the mapping — the
+// caller owns calling it when the engine is retired; a finalizer
+// reclaims mappings of collected engines. Files in older formats are
+// decoded onto the heap as usual.
 func WithMapped() LoadOption {
 	return func(s *loadSettings) { s.mapped = true }
 }
@@ -261,7 +263,16 @@ func LoadFile(path string, opts ...LoadOption) (*Engine, error) {
 		o(&settings)
 	}
 	if settings.mapped {
-		return LoadMapped(path)
+		m, err := codec.ReadMapped(path)
+		if err != nil {
+			return nil, fmt.Errorf("cubelsi: %w", err)
+		}
+		eng, err := engineFromModel(m, m.Mapped != nil)
+		if err != nil {
+			m.Mapped.Close()
+			return nil, err
+		}
+		return eng, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -269,21 +280,4 @@ func LoadFile(path string, opts ...LoadOption) (*Engine, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// LoadMapped restores an engine from a model file through a memory
-// mapping (see WithMapped). The caller owns calling Close on the
-// returned engine when it is retired; a finalizer reclaims mappings of
-// collected engines.
-func LoadMapped(path string) (*Engine, error) {
-	m, err := codec.ReadMapped(path)
-	if err != nil {
-		return nil, fmt.Errorf("cubelsi: %w", err)
-	}
-	eng, err := engineFromModel(m, m.Mapped != nil)
-	if err != nil {
-		m.Mapped.Close()
-		return nil, err
-	}
-	return eng, nil
 }

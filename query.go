@@ -192,12 +192,3 @@ func (e *Engine) SearchBatch(queries []Query) ([][]Result, error) {
 	}
 	return out, errors.Join(errs...)
 }
-
-// Search answers a tag-keyword query with up to topN resources.
-//
-// Deprecated: use Query with NewQuery, which adds MinScore and concept
-// options; Search remains as a thin shim. The "Migrating from one-shot
-// Build" table in README.md maps each legacy call to its replacement.
-func (e *Engine) Search(query []string, topN int) []Result {
-	return e.Query(NewQuery(query, WithLimit(topN)))
-}

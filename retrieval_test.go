@@ -230,10 +230,10 @@ func TestPersonalizedQueryDeterministic(t *testing.T) {
 
 // TestSaveLoadUserFactorsRoundtrip covers the codec v5 opt-in section
 // end to end at the public API: Save(WithUserFactors) → Load and →
-// LoadMapped both restore a personalizing engine whose WithUser
-// rankings are bit-identical to the builder's, while Save without the
-// option stays factorless, and saving a factorless engine with the
-// option is a descriptive error.
+// LoadFile(WithMapped) both restore a personalizing engine whose
+// WithUser rankings are bit-identical to the builder's, while Save
+// without the option stays factorless, and saving a factorless engine
+// with the option is a descriptive error.
 func TestSaveLoadUserFactorsRoundtrip(t *testing.T) {
 	eng := buildCorpus(t)
 	queries := []Query{
@@ -252,7 +252,7 @@ func TestSaveLoadUserFactorsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := LoadMapped(path)
+	mapped, err := LoadFile(path, WithMapped())
 	if err != nil {
 		t.Fatal(err)
 	}

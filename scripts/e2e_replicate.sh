@@ -3,7 +3,8 @@
 # cubelsiserve writer and two real read-only replicas. The writer builds
 # from the paper's running example, a delta log is streamed through
 # POST /stream?flush=1, and both replicas must converge on the new
-# version with spool files byte-identical to the writer's — the same
+# version — and the source fingerprint each flush response names — with
+# spool files byte-identical to the writer's — the same
 # verified-bytes contract internal/replicate pins in its unit tests,
 # here crossing real process and socket boundaries. A chaos pass kills
 # one replica, publishes past it, and asserts the restarted process
@@ -34,6 +35,38 @@ R2="http://127.0.0.1:$R2PORT"
 # before the first model arrives — replicas answer 503 until then).
 model_version() {
 	curl -s "$1/stats" 2>/dev/null | sed -n 's/.*"model_version":\([0-9]*\).*/\1/p'
+}
+
+# fingerprint <json>: the source_fingerprint key of a JSON body (empty
+# when absent).
+fingerprint() {
+	echo "$1" | sed -n 's/.*"source_fingerprint":"\([0-9a-f]*\)".*/\1/p'
+}
+
+# check_lineage <stream-response> <what>: a /stream?flush=1 response
+# names the snapshot it published by source_fingerprint, and that is the
+# fingerprint the writer's /stats serves — the same lineage, not only
+# the same version number.
+check_lineage() {
+	fp=$(fingerprint "$1")
+	if [ -z "$fp" ]; then
+		echo "e2e-replicate: FAIL: $2 /stream?flush=1 response carries no source_fingerprint: $1" >&2
+		exit 1
+	fi
+	if [ "$fp" != "$(fingerprint "$(curl -s "$WRITER/stats")")" ]; then
+		echo "e2e-replicate: FAIL: $2 /stream fingerprint $fp is not the writer's /stats fingerprint" >&2
+		exit 1
+	fi
+}
+
+# check_replica_lineage <base-url> <fingerprint> <what>: a converged
+# replica serves the writer's lineage.
+check_replica_lineage() {
+	got=$(fingerprint "$(curl -s "$1/stats")")
+	if [ "$got" != "$2" ]; then
+		echo "e2e-replicate: FAIL: $3 serves source_fingerprint '$got', writer published '$2'" >&2
+		exit 1
+	fi
 }
 
 # wait_version <base-url> <version> <what>: poll until the server serves
@@ -110,6 +143,8 @@ case "$RESP" in
 	exit 1
 	;;
 esac
+check_lineage "$RESP" "first"
+FP2=$(fingerprint "$RESP")
 
 # Redelivering the same log must be absorbed by the idempotency window:
 # nothing accepted, no version bump.
@@ -121,11 +156,14 @@ case "$RESP" in
 	exit 1
 	;;
 esac
+check_lineage "$RESP" "redelivered"
 echo "e2e-replicate: redelivered delta log fully deduplicated"
 
 wait_version "$R1" 2 "replica 1"
 wait_version "$R2" 2 "replica 2"
-echo "e2e-replicate: both replicas converged on v2"
+check_replica_lineage "$R1" "$FP2" "replica 1"
+check_replica_lineage "$R2" "$FP2" "replica 2"
+echo "e2e-replicate: both replicas converged on v2, same source fingerprint as the writer"
 
 for spool in "$WORK/r1-spool" "$WORK/r2-spool"; do
 	if ! cmp "$WORK/writer-spool/model-v2.clsi" "$spool/model-v2.clsi"; then
@@ -161,6 +199,8 @@ case "$RESP" in
 	exit 1
 	;;
 esac
+check_lineage "$RESP" "second"
+FP3=$(fingerprint "$RESP")
 wait_version "$R1" 3 "replica 1 (surviving)"
 
 start_replica "$R2PORT" "$WORK/r2-spool"
@@ -170,7 +210,9 @@ if ! curl -s "$R2/stats" | grep -q '"version_skew":0'; then
 	curl -s "$R2/stats" >&2
 	exit 1
 fi
-echo "e2e-replicate: restarted replica caught up to v3 with zero skew"
+check_replica_lineage "$R1" "$FP3" "replica 1"
+check_replica_lineage "$R2" "$FP3" "replica 2 (restarted)"
+echo "e2e-replicate: restarted replica caught up to v3 with zero skew and the writer's fingerprint"
 
 for spool in "$WORK/r1-spool" "$WORK/r2-spool"; do
 	if ! cmp "$WORK/writer-spool/model-v3.clsi" "$spool/model-v3.clsi"; then

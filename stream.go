@@ -219,10 +219,16 @@ type Ingestor struct {
 	lastMS  float64 // EWMA of flush wall clock, for RetryAfter
 	closed  bool
 
-	kick    chan struct{}   // size/drift trigger -> flusher
-	flushRq chan chan error // synchronous Flush requests
+	kick    chan struct{}         // size/drift trigger -> flusher
+	flushRq chan chan flushResult // synchronous Flush requests
 	stop    chan struct{}
 	done    chan struct{}
+}
+
+// flushResult is what one flush hands back to a synchronous Flush.
+type flushResult struct {
+	rep *UpdateReport
+	err error
 }
 
 // seqWindow tracks recently seen sequence numbers of one client. A seq
@@ -293,7 +299,7 @@ func NewIngestor(idx *Index, opts ...IngestOption) (*Ingestor, error) {
 		slot:     make(map[Assignment]int),
 		clients:  make(map[string]*seqWindow),
 		kick:     make(chan struct{}, 1),
-		flushRq:  make(chan chan error),
+		flushRq:  make(chan chan flushResult),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -400,22 +406,24 @@ func (ing *Ingestor) effectiveDrift() float64 {
 	return ing.settings.drift
 }
 
-// Flush synchronously applies everything pending and returns the
-// Apply error, if any. A flush with nothing pending is a no-op.
-func (ing *Ingestor) Flush(ctx context.Context) error {
-	reply := make(chan error, 1)
+// Flush synchronously applies everything pending — every producer's
+// records, not only the caller's — and returns the Apply's report and
+// error. A flush with nothing pending is a no-op that returns a nil
+// report.
+func (ing *Ingestor) Flush(ctx context.Context) (*UpdateReport, error) {
+	reply := make(chan flushResult, 1)
 	select {
 	case ing.flushRq <- reply:
 		select {
-		case err := <-reply:
-			return err
+		case res := <-reply:
+			return res.rep, res.err
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	case <-ing.done:
-		return errors.New("cubelsi: ingestor is closed")
+		return nil, errors.New("cubelsi: ingestor is closed")
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -455,7 +463,8 @@ func (ing *Ingestor) Close() error {
 	ing.mu.Unlock()
 	close(ing.stop)
 	<-ing.done
-	return ing.flush(context.Background())
+	_, err := ing.flush(context.Background())
+	return err
 }
 
 // run is the background flusher: one goroutine owns every Index.Apply
@@ -468,11 +477,12 @@ func (ing *Ingestor) run() {
 	for {
 		select {
 		case <-ing.kick:
-			_ = ing.flush(context.Background())
+			_, _ = ing.flush(context.Background())
 		case <-ticker.C:
-			_ = ing.flush(context.Background())
+			_, _ = ing.flush(context.Background())
 		case reply := <-ing.flushRq:
-			reply <- ing.flush(context.Background())
+			rep, err := ing.flush(context.Background())
+			reply <- flushResult{rep, err}
 		case <-ing.stop:
 			return
 		}
@@ -482,7 +492,7 @@ func (ing *Ingestor) run() {
 // flush steals the pending batch, compacts it into a Delta, and
 // applies it. On failure the batch is dropped and the error recorded —
 // the log was rolled back by Apply, so the index is unharmed.
-func (ing *Ingestor) flush(ctx context.Context) error {
+func (ing *Ingestor) flush(ctx context.Context) (*UpdateReport, error) {
 	ing.mu.Lock()
 	batch := ing.pending
 	ing.pending = nil
@@ -490,7 +500,7 @@ func (ing *Ingestor) flush(ctx context.Context) error {
 	ing.stats.QueueDepth = 0
 	ing.mu.Unlock()
 	if len(batch) == 0 {
-		return nil
+		return nil, nil
 	}
 
 	var d Delta
@@ -512,7 +522,7 @@ func (ing *Ingestor) flush(ctx context.Context) error {
 		ing.stats.Dropped += uint64(len(batch))
 		ing.stats.LastError = err.Error()
 		ing.mu.Unlock()
-		return err
+		return nil, err
 	}
 	ing.stats.Flushes++
 	ing.stats.LastFlushMS = ms
@@ -529,5 +539,5 @@ func (ing *Ingestor) flush(ctx context.Context) error {
 	if ing.settings.onFlush != nil {
 		ing.settings.onFlush(ing.idx.Snapshot(), rep)
 	}
-	return nil
+	return rep, nil
 }

@@ -162,7 +162,7 @@ func TestIngestorBackpressure(t *testing.T) {
 		t.Fatalf("RetryAfter %v below floor", ing.RetryAfter())
 	}
 
-	if err := ing.Flush(context.Background()); err != nil {
+	if _, err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	mustOffer(t, ing, recs[2], OfferAccepted)
@@ -187,7 +187,7 @@ func TestIngestorIdempotentRedelivery(t *testing.T) {
 
 	// The window survives the flush: redelivery of an already-applied
 	// record after publication is still a duplicate.
-	if err := ing.Flush(context.Background()); err != nil {
+	if _, err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	mustOffer(t, ing, rec, OfferDuplicate)
@@ -260,7 +260,7 @@ func TestIngestorCompactionPreservesStreamOrder(t *testing.T) {
 	rm := fresh
 	rm.Op = "remove"
 	mustOffer(t, ing, rm, OfferAccepted)
-	if err := ing.Flush(context.Background()); err != nil {
+	if _, err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.Snapshot().Version(); got != before {
@@ -274,13 +274,20 @@ func TestIngestorCompactionPreservesStreamOrder(t *testing.T) {
 	add := live
 	add.Op = "add"
 	mustOffer(t, ing, add, OfferAccepted)
-	if err := ing.Flush(context.Background()); err != nil {
+	rep, err := ing.Flush(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := idx.Snapshot().Version()
+	if rep == nil || rep.AddedAssignments != 1 || rep.Version != after {
+		t.Fatalf("flush report = %+v, want one added assignment at v%d", rep, after)
+	}
+	if rep, err := ing.Flush(context.Background()); err != nil || rep != nil {
+		t.Fatalf("flush with nothing pending = (%+v, %v), want (nil, nil)", rep, err)
+	}
 	mustOffer(t, ing, live, OfferAccepted)
 	mustOffer(t, ing, add, OfferAccepted)
-	if err := ing.Flush(context.Background()); err != nil {
+	if _, err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := idx.Snapshot().Version(); got != after {
@@ -355,7 +362,7 @@ func TestIngestorFailedFlushDropsBatch(t *testing.T) {
 		mustOffer(t, ing, StreamRecord{Op: "remove", User: a.User, Tag: a.Tag, Resource: a.Resource}, OfferAccepted)
 		queued++
 	}
-	if err := ing.Flush(context.Background()); err == nil {
+	if _, err := ing.Flush(context.Background()); err == nil {
 		t.Fatal("flushing a corpus-emptying batch must fail")
 	}
 	if idx.Snapshot() != before {
@@ -368,7 +375,7 @@ func TestIngestorFailedFlushDropsBatch(t *testing.T) {
 
 	// The ingestor stays usable: a valid batch afterwards applies.
 	mustOffer(t, ing, StreamRecord{User: "u-after", Tag: "aftertag", Resource: "r-after"}, OfferAccepted)
-	if err := ing.Flush(context.Background()); err != nil {
+	if _, err := ing.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := ing.Stats(); st.Flushes != 1 || st.LastError != "" {

@@ -91,12 +91,6 @@ func NewIndex(ctx context.Context, src Source, opts ...BuildOption) (*Index, err
 	if settings.err != nil {
 		return nil, settings.err
 	}
-	if settings.exactSpectral {
-		// The exact-spectral path exists for one-shot paper-fidelity
-		// reproduction; incremental updates re-cluster with k-means on the
-		// embedding, which would silently switch algorithms under it.
-		return nil, errors.New("cubelsi: WithExactSpectral is a one-shot reproduction mode; use Build, not NewIndex")
-	}
 	raw, err := src.dataset()
 	if err != nil {
 		return nil, err

@@ -351,17 +351,6 @@ func TestApplyMatchesCleanedNames(t *testing.T) {
 	}
 }
 
-// TestNewIndexRejectsExactSpectral: the exact-spectral reproduction
-// mode is one-shot; the lifecycle would silently switch clustering
-// algorithms on update, so NewIndex refuses it up front.
-func TestNewIndexRejectsExactSpectral(t *testing.T) {
-	_, err := NewIndex(context.Background(), FromAssignments(corpus()),
-		WithConfig(testConfig()), WithExactSpectral())
-	if err == nil || !strings.Contains(err.Error(), "one-shot") {
-		t.Fatalf("err = %v, want exact-spectral rejection", err)
-	}
-}
-
 // TestWarmStartPathValidatesRatios: the warm-started NewIndex build
 // must reject invalid reduction ratios with the same error the cold
 // path returns, not panic inside tucker.FromRatios.
