@@ -3,10 +3,10 @@ GO ?= go
 # The tracked microbenchmarks: `make bench` measures them, `make
 # bench-once` (part of `make check` and the CI test job) runs each for a
 # single iteration so none can stop compiling or start failing unseen.
-BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|SearchConcept|EngineBuild|EngineSearch|SymMulT|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
+BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|SearchConcept|EngineBuild|EngineSearch|SymMulT|MulTTiled|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
 BENCH_PKGS = ./internal/embed/ ./internal/ir/ ./internal/retrieve/ ./internal/mat/ ./internal/tensor/ ./internal/tucker/ .
 
-.PHONY: build test bench bench-once bench-check vet vet-custom check fmt fuzz lint e2e-replicate
+.PHONY: build test bench bench-once bench-check vet vet-custom check cross fmt fuzz lint e2e-replicate
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,15 @@ vet-custom:
 
 # check is the full local gate: formatting idiom, both vet suites,
 # lint, the race-enabled tests, one iteration of every tracked
-# microbenchmark, and the benchmark module.
-check: vet-custom lint test bench-once bench-check
+# microbenchmark, the benchmark module, and the arm64 cross-build.
+check: vet-custom lint test bench-once bench-check cross
+
+# cross builds and vets for arm64, where internal/mat compiles its
+# portable tile leaf instead of the amd64 assembly (tile_other.go), so
+# the build-tagged file cannot rot on an amd64-only CI.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat
 
 bench-once:
 	$(GO) test -run='^$$' -bench='$(BENCH_REGEX)' -benchtime=1x $(BENCH_PKGS)
@@ -65,10 +72,12 @@ e2e-replicate:
 	./scripts/e2e_replicate.sh
 
 # fuzz exercises the trust-boundary fuzz targets briefly: the model
-# decoder and the POST /search body.
+# decoder, the POST /search body, and the GET /search and /related
+# query strings.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=30s ./internal/codec/
-	$(GO) test -run='^$$' -fuzz=FuzzSearchPost -fuzztime=30s ./cmd/cubelsiserve/
+	$(GO) test -run='^$$' -fuzz='^FuzzSearchPost$$' -fuzztime=30s ./cmd/cubelsiserve/
+	$(GO) test -run='^$$' -fuzz='^FuzzSearchGet$$' -fuzztime=30s ./cmd/cubelsiserve/
 
 fmt:
 	gofmt -l -w .

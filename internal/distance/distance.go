@@ -173,8 +173,10 @@ func CubeSimSparse(f *tensor.Sparse3) *mat.Matrix {
 // taking the Frobenius norm of their difference, at O(I1·I3) per pair.
 // This is the cost model behind Table V (CubeSim did not finish on
 // Delicious within 100 hours). The budget callback, if non-nil, is polled
-// between outer iterations; returning false aborts and the function
-// reports how many tag rows were completed.
+// between outer iterations, from the second on: the first row always
+// completes, so a caller can extrapolate the full cost from at least one
+// row. Returning false aborts and the function reports how many tag rows
+// were completed.
 func CubeSimDense(f *tensor.Sparse3, budget func() bool) (d *mat.Matrix, completedRows int) {
 	i1, n, i3 := f.Dims()
 	idx := f.Mode2SliceIndex()
@@ -190,7 +192,7 @@ func CubeSimDense(f *tensor.Sparse3, budget func() bool) (d *mat.Matrix, complet
 		}
 	}
 	for i := range n {
-		if budget != nil && !budget() {
+		if i > 0 && budget != nil && !budget() {
 			return out, i
 		}
 		fill(si, i)

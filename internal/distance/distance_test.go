@@ -152,13 +152,18 @@ func TestCubeSimDenseMatchesSparse(t *testing.T) {
 func TestCubeSimDenseBudgetAborts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := randSparse(rng, 5, 10, 5, 50)
-	calls := 0
-	_, rows := CubeSimDense(f, func() bool {
-		calls++
-		return calls <= 3
-	})
-	if rows != 3 {
-		t.Fatalf("budget abort after 3 rows, got %d", rows)
+	// The budget is polled before every row but the first, which always
+	// completes: granting three polls completes four rows, granting none
+	// one.
+	for granted, want := range []int{1, 2, 3, 4} {
+		calls := 0
+		_, rows := CubeSimDense(f, func() bool {
+			calls++
+			return calls <= granted
+		})
+		if rows != want {
+			t.Fatalf("budget granting %d polls: completed %d rows, want %d", granted, rows, want)
+		}
 	}
 }
 

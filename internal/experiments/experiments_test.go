@@ -132,13 +132,18 @@ func TestTable5BudgetAndTimes(t *testing.T) {
 	if row.DNF {
 		t.Fatalf("tiny corpus should finish the dense pass within 30s: %+v", row)
 	}
-	// A sub-millisecond budget must trigger the DNF path with an estimate.
-	dnf := Table5(s, time.Millisecond)
+	// A budget already spent when the dense pass first polls it takes the
+	// DNF path, with an estimate extrapolated from the one row that always
+	// completes.
+	dnf := table5(s, func(time.Duration) bool { return false })
 	if !dnf.DNF {
-		t.Fatal("1ms budget should not finish")
+		t.Fatal("an exhausted budget should not finish")
 	}
 	if dnf.Estimated <= dnf.CubeSim {
 		t.Fatalf("estimate %v should exceed measured truncated time %v", dnf.Estimated, dnf.CubeSim)
+	}
+	if out := RenderTable5([]Table5Row{dnf}, 0); !strings.Contains(out, "DNF, est") {
+		t.Fatalf("DNF row rendered without its estimate:\n%s", out)
 	}
 }
 

@@ -355,28 +355,32 @@ type Table5Row struct {
 // Frobenius pass, bounded by budget (the paper's ">100 hours" entry is a
 // budget blow-up on Delicious).
 func Table5(s *Setup, budget time.Duration) Table5Row {
+	return table5(s, func(elapsed time.Duration) bool { return elapsed < budget })
+}
+
+// table5 is Table5 with the budget as a predicate on how long the dense
+// pass has run, polled between its rows.
+func table5(s *Setup, within func(elapsed time.Duration) bool) Table5Row {
 	p := s.Pipeline()
 	row := Table5Row{Dataset: s.Params.Name, CubeLSI: p.Times.Offline()}
 
 	f := s.Corpus.Clean.Tensor()
 	_, nTags, _ := f.Dims()
 	start := time.Now()
-	deadline := start.Add(budget)
-	_, rows := distance.CubeSimDense(f, func() bool { return time.Now().Before(deadline) })
+	_, rows := distance.CubeSimDense(f, func() bool { return within(time.Since(start)) })
 	elapsed := time.Since(start)
 	row.CubeSim = elapsed
 	if rows < nTags {
 		row.DNF = true
 		// Work on row i is proportional to (n−i−1) pairs; extrapolate
-		// from the share of pairs completed.
+		// from the share of pairs completed, which is never zero:
+		// CubeSimDense completes row 0 before it polls the budget.
 		total := float64(nTags) * float64(nTags-1) / 2
 		var done float64
 		for i := range rows {
 			done += float64(nTags - i - 1)
 		}
-		if done > 0 {
-			row.Estimated = time.Duration(float64(elapsed) * total / done)
-		}
+		row.Estimated = time.Duration(float64(elapsed) * total / done)
 	} else {
 		row.Estimated = elapsed
 	}

@@ -140,19 +140,17 @@ func scratch(m **Matrix, rows, cols int) *Matrix {
 // MatrixOperator adapts a symmetric *Matrix to the Operator interface.
 type MatrixOperator struct {
 	M  *Matrix
-	qt *Matrix // transposed block
+	qp panels // the block's columns, packed
 }
 
 // Dim returns the operator dimension.
 func (o *MatrixOperator) Dim() int { return o.M.Rows() }
 
 // ApplyBlock computes z = M·q: every element is the Dot of a row of M
-// with a column of q, taken from the transposed block so that four
-// columns share each pass over the row.
+// with a column of q, the columns packed straight from the block.
 func (o *MatrixOperator) ApplyBlock(q, z *Matrix, workers int) {
-	qt := scratch(&o.qt, q.cols, q.rows)
-	q.transposeInto(qt)
-	mulTInto(z, o.M, qt, workers, false)
+	o.qp.packCols(q)
+	tiledInto(nativeLeaf, z, rowsOf(o.M), &o.qp, workers, false)
 }
 
 // GramOperator represents W·Wᵀ for a rectangular W without forming the
@@ -160,6 +158,7 @@ func (o *MatrixOperator) ApplyBlock(q, z *Matrix, workers int) {
 type GramOperator struct {
 	W  *Matrix
 	tt *Matrix // (Wᵀ·q)ᵀ
+	tp panels  // tt, packed
 }
 
 // Dim returns the number of rows of W.
@@ -169,7 +168,8 @@ func (o *GramOperator) Dim() int { return o.W.Rows() }
 func (o *GramOperator) ApplyBlock(q, z *Matrix, workers int) {
 	tt := scratch(&o.tt, q.cols, o.W.cols)
 	tmulInto(tt, q, o.W, workers)
-	mulTInto(z, o.W, tt, workers, false)
+	o.tp.packRows(tt)
+	tiledInto(nativeLeaf, z, rowsOf(o.W), &o.tp, workers, false)
 }
 
 // SubspaceOptions configures SubspaceIteration.
@@ -220,15 +220,14 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 	}
 	workers := opts.Workers
 
-	// Everything the iteration needs is allocated here, once: the two
-	// blocks that trade places and their transposes, the Ritz matrix and
-	// vectors, and the orthonormalization scratch. The products of two
-	// tall blocks are taken along rows of the transposes, where each
-	// element is an inner product of contiguous vectors.
+	// Everything the iteration needs is allocated here or on the first
+	// round, once: the two blocks that trade places, the Ritz matrix and
+	// vectors, the packed right operands of the Rayleigh–Ritz products,
+	// and the orthonormalization scratch.
 	q, z := New(n, b), New(n, b)
-	qt, zt := New(b, n), New(b, n)
-	h, vt := New(b, b), New(b, b)
+	h := New(b, b)
 	vecs, avecs := New(n, b), New(n, b)
+	var zp, vp panels
 	var ortho orthoScratch
 
 	rng := newSplitMix(opts.Seed ^ 0x9e3779b97f4a7c15)
@@ -252,9 +251,9 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 		op.ApplyBlock(q, z, workers)
 		applied++
 		// H = QᵀZ is symmetric since A is; symmetrize against rounding.
-		q.transposeInto(qt)
-		z.transposeInto(zt)
-		mulTInto(h, qt, zt, workers, true)
+		// Its elements are inner products of columns of q and z.
+		zp.packCols(z)
+		tiledInto(nativeLeaf, h, colsOf(q), &zp, workers, true)
 		for i := range b {
 			for j := i + 1; j < b; j++ {
 				v := 0.5 * (h.data[i*b+j] + h.data[j*b+i])
@@ -267,9 +266,9 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 		// the dominant serial cost of large decompositions.
 		ritz = symEigAuto(h)
 		// Ritz vectors in original coordinates and their images under A.
-		ritz.Vectors.transposeInto(vt)
-		mulTInto(vecs, q, vt, workers, true)
-		mulTInto(avecs, z, vt, workers, true)
+		vp.packCols(ritz.Vectors)
+		tiledInto(nativeLeaf, vecs, rowsOf(q), &vp, workers, true)
+		tiledInto(nativeLeaf, avecs, rowsOf(z), &vp, workers, true)
 
 		// Residual-based convergence on the top-k pairs:
 		// ||A·v − λ·v|| ≤ tol·|λmax| for every wanted pair.

@@ -10,10 +10,11 @@ import (
 
 // The tests in this file hold the block kernels to the bits of the
 // column-at-a-time code in reference_test.go. The shapes are deliberately
-// awkward for a kernel that works four outputs at a time: widths and
-// heights that are not multiples of four, single columns, blocks as wide
-// as the operator, rows of +0 and of −0, and infinities placed where a
-// dropped zero-skip would turn a finite sum into NaN.
+// awkward for kernels that work in 4×8 tiles: widths and heights that are
+// not multiples of four or eight, single columns, empty inner products,
+// blocks as wide as the operator, rows of +0 and of −0, and infinities
+// placed where a dropped zero-skip would turn a finite sum into NaN.
+// They run on the leaf the process picks; tile_test.go runs every leaf.
 
 var kernelWorkers = []int{0, 1, 3, 4}
 
@@ -82,7 +83,7 @@ func TestProductsMatchReference(t *testing.T) {
 		zeroRows(rng, m)
 	}
 	for _, shape := range kernelShapes {
-		for _, inner := range []int{1, 3, 4, 6, 9} {
+		for _, inner := range []int{0, 1, 3, 4, 6, 8, 9} {
 			rows, cols := shape[0], shape[1]
 			label := fmt.Sprintf("%d×%d×%d", rows, inner, cols)
 
@@ -274,8 +275,8 @@ func TestSubspaceIterationMatchesReference(t *testing.T) {
 
 // TestSubspaceIterationAllocations is the ceiling that keeps the
 // iteration's temporaries allocated once per call: the blocks, their
-// transposes, the Ritz matrices and the orthonormalization scratch up
-// front, and per Rayleigh–Ritz round only what the dense b×b eigensolver
+// packed panels, the Ritz matrices and the orthonormalization scratch,
+// and per Rayleigh–Ritz round only what the dense b×b eigensolver
 // returns. The column-at-a-time iteration it replaced made 390
 // allocations and 1.8 MB here, three n×b blocks of them per round.
 func TestSubspaceIterationAllocations(t *testing.T) {
@@ -291,9 +292,9 @@ func TestSubspaceIterationAllocations(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	// Eight n×b blocks (two iterates, two transposes, two Ritz blocks,
-	// the orthonormalization's transpose and the operator's), the n×k
-	// result, and room for the b×b matrices of four eigensolves.
+	// Seven n×b blocks (two iterates, two Ritz blocks, and the packed
+	// panels of z, of the orthonormalization and of the operator), the
+	// n×k result, and room for the b×b matrices of four eigensolves.
 	block := uint64(n * (k + 4) * 8)
 	if got, ceiling := after.TotalAlloc-before.TotalAlloc, 13*block; got > ceiling {
 		t.Errorf("SubspaceIteration allocated %d bytes, ceiling %d (13 blocks of %d×%d)", got, ceiling, n, k+4)

@@ -11,14 +11,18 @@
 // The products under a decomposition are order-preserving block kernels.
 // Every output element is accumulated left to right, term by term, in the
 // order the plain serial loop adds it — no fused multiply-add, no
-// reassociation — but several independent elements are computed per pass
-// over the shared operand (dot4 and the loops built on it), and an
-// Operator is applied to a whole block of vectors at once (ApplyBlock).
-// One sum on its own waits on the latency of each add; four run at the
-// multiplier's throughput. The results carry the bits of the
-// one-element-at-a-time code they replaced, which reference_test.go keeps
-// and kernels_test.go compares against, and the same bits on every
-// worker count.
+// reassociation — but many independent elements are computed per pass
+// over the shared operands, and an Operator is applied to a whole block
+// of vectors at once (ApplyBlock). The dense products a·bᵀ and a·aᵀ run
+// through one register-tiled kernel (tile.go): b is packed into panels of
+// eight rows, and a leaf computes a 4×8 tile of the output per pass, each
+// of its 32 sums an independent accumulator. On amd64 with AVX2 the leaf
+// is assembly (tile_amd64.s) whose vector lanes are different output
+// elements, multiplied with VMULPD and added with VADDPD, never fused;
+// elsewhere a Go leaf with explicitly rounded products computes the same
+// bits. The results carry the bits of the one-element-at-a-time code they
+// replaced, which reference_test.go keeps and kernels_test.go compares
+// against, and the same bits on every worker count.
 package mat
 
 import (
@@ -180,44 +184,31 @@ func Mul(a, b *Matrix) *Matrix { return mulW(a, b, 0) }
 // mulW is Mul with an explicit worker bound. Every element accumulates
 // over k in ascending order, skipping the terms whose a[i][k] is zero, so
 // the product is bit-identical for every worker count. It is taken as
-// a·(bᵀ)ᵀ: along rows of bᵀ the sums are inner products of contiguous
-// vectors, four per pass over the row of a.
+// a·(bᵀ)ᵀ, with the columns of b packed as the right operand's rows.
 func mulW(a, b *Matrix, workers int) *Matrix {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	c := New(a.rows, b.cols)
-	mulTInto(c, a, b.T(), workers, true)
+	var p panels
+	p.packCols(b)
+	tiledInto(nativeLeaf, c, rowsOf(a), &p, workers, true)
 	return c
 }
 
 // MulT returns a·bᵀ without forming bᵀ. Large products run row-parallel.
 func MulT(a, b *Matrix) *Matrix { return mulTW(a, b, 0) }
 
-// mulTW is MulT with an explicit worker bound.
+// mulTW is MulT with an explicit worker bound: one Dot per element.
 func mulTW(a, b *Matrix, workers int) *Matrix {
-	c := New(a.rows, b.rows)
-	mulTInto(c, a, b, workers, false)
-	return c
-}
-
-// mulTInto overwrites c with a·bᵀ. Every element is the inner product of
-// a row of a with a row of b, four rows of b per pass — Dot's sum, or with
-// skipZero the sum without the terms in which a's entry is zero — and
-// each output row belongs to one worker, so the result is bit-identical
-// for every worker count.
-func mulTInto(c, a, b *Matrix, workers int, skipZero bool) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulT shape mismatch %d×%d · (%d×%d)ᵀ", a.rows, a.cols, b.rows, b.cols))
 	}
-	if c.rows != a.rows || c.cols != b.rows {
-		panic(fmt.Sprintf("mat: MulT output %d×%d, want %d×%d", c.rows, c.cols, a.rows, b.rows))
-	}
-	parallelForW(a.rows, a.rows*a.cols*b.rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dotRows(c.data[i*c.cols:(i+1)*c.cols], a.data[i*a.cols:(i+1)*a.cols], b, 0, b.rows, skipZero)
-		}
-	})
+	c := New(a.rows, b.rows)
+	var p panels
+	p.packRows(b)
+	tiledInto(nativeLeaf, c, rowsOf(a), &p, workers, false)
+	return c
 }
 
 // axpyNonzero computes y += a·x unless a is zero.

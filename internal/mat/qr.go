@@ -108,13 +108,14 @@ func orthonormalizeW(a *Matrix, workers int) *Matrix {
 // what the pinned factor hashes pin.
 const cholQRMinWork = 1 << 18
 
-// orthoScratch holds the temporaries of orthonormalizeW — the transposed
-// block, whose rows are the columns being orthonormalized, and the Gram
-// matrix and Cholesky factor of Cholesky-QR — so a caller that
+// orthoScratch holds the temporaries of orthonormalizeW — the packed
+// columns, the Gram matrix and the Cholesky factor of Cholesky-QR, and
+// the transposed block Gram–Schmidt works on — so a caller that
 // orthonormalizes same-shaped blocks in a loop allocates them once. The
 // zero value is ready to use.
 type orthoScratch struct {
 	g, rt, cols *Matrix
+	p           panels
 }
 
 func (s *orthoScratch) orthonormalize(a *Matrix, workers int) *Matrix {
@@ -176,11 +177,10 @@ func (s *orthoScratch) orthonormalize(a *Matrix, workers int) *Matrix {
 func (s *orthoScratch) cholQR(a *Matrix, workers int) bool {
 	m, n := a.Dims()
 	// Only the upper triangle of G is read below. Its elements are inner
-	// products of columns of a, taken along rows of the transpose.
-	at := scratch(&s.cols, n, m)
-	a.transposeInto(at)
+	// products of columns of a.
+	s.p.packCols(a)
 	g := scratch(&s.g, n, n)
-	symUpperInto(g, at, workers, true)
+	tiledUpperInto(nativeLeaf, g, colsOf(a), &s.p, workers, true)
 	// Cholesky G = RᵀR, row j of R at a time, written as column j of the
 	// lower-triangular Rᵀ: both inner products then run along rows of Rᵀ
 	// instead of down columns of R.

@@ -3,9 +3,81 @@ package mat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
+
+// dot4, dot4Nonzero, dotNonzero and dotRows are the four-sums-per-pass
+// loops the dense products ran on before the tiled kernel replaced them.
+// TestTiledProductsMatchReference holds both leaves to their bits.
+
+// dot4 returns the inner products of a with b0, b1, b2 and b3. Each sum
+// is accumulated left to right exactly as Dot accumulates it, so every
+// result has Dot's bits.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// dot4Nonzero is dot4 without the terms in which a is zero.
+func dot4Nonzero(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		if v == 0 {
+			continue
+		}
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// dotNonzero is Dot without the terms in which x is zero.
+func dotNonzero(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for i, v := range x {
+		if v == 0 {
+			continue
+		}
+		s += v * y[i]
+	}
+	return s
+}
+
+// dotRows sets dst[j] to the inner product of a with row j of b for every
+// j in [lo, hi), four rows of b per pass over a: Dot's sum, or with
+// skipZero dotNonzero's.
+func dotRows(dst, a []float64, b *Matrix, lo, hi int, skipZero bool) {
+	skipZero = skipZero && slices.Contains(a, 0)
+	n := b.cols
+	j := lo
+	for ; j+4 <= hi; j += 4 {
+		rows := b.data[j*n : (j+4)*n]
+		b0, b1, b2, b3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
+		if skipZero {
+			dst[j], dst[j+1], dst[j+2], dst[j+3] = dot4Nonzero(a, b0, b1, b2, b3)
+		} else {
+			dst[j], dst[j+1], dst[j+2], dst[j+3] = dot4(a, b0, b1, b2, b3)
+		}
+	}
+	for ; j < hi; j++ {
+		if skipZero {
+			dst[j] = dotNonzero(a, b.data[j*n:(j+1)*n])
+		} else {
+			dst[j] = Dot(a, b.data[j*n:(j+1)*n])
+		}
+	}
+}
 
 // This file is the decompose path as it stood before its kernels were
 // rewritten, kept verbatim (renamed with a ref prefix, and without the

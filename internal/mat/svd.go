@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // SVD holds a thin singular value decomposition A = U·diag(S)·Vᵀ with
@@ -165,10 +164,27 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 func SymMulT(a *Matrix) *Matrix { return symMulTW(a, 0) }
 
 // symMulTW is SymMulT with an explicit worker bound.
+// Every element is the Dot of two rows of a, whichever triangle computed
+// it, so the result is bit-identical for every worker count.
 func symMulTW(a *Matrix, workers int) *Matrix {
+	var p panels
+	p.packRows(a)
+	return gramW(rowsOf(a), &p, workers)
+}
+
+// symTMulW returns aᵀ·a as symMulTW(aᵀ) does, reading the columns of a
+// in place of the rows of a transpose.
+func symTMulW(a *Matrix, workers int) *Matrix {
+	var p panels
+	p.packCols(a)
+	return gramW(colsOf(a), &p, workers)
+}
+
+// gramW returns the Gram matrix of the rows of a, packed as p.
+func gramW(a lhs, p *panels, workers int) *Matrix {
 	m := a.rows
 	g := New(m, m)
-	symUpperInto(g, a, workers, false)
+	tiledUpperInto(nativeLeaf, g, a, p, workers, false)
 	// Mirror the lower triangle.
 	for i := range m {
 		for j := range i {
@@ -176,39 +192,6 @@ func symMulTW(a *Matrix, workers int) *Matrix {
 		}
 	}
 	return g
-}
-
-// symUpperInto overwrites the upper triangle of g — the elements on and
-// above the diagonal, and no others — with that of a·aᵀ. Every element is
-// the inner product of two rows of a, four per pass (Dot's sum, or with
-// skipZero the sum without the terms whose left factor is zero), which
-// keeps it bit-identical for every worker count.
-func symUpperInto(g, a *Matrix, maxWorkers int, skipZero bool) {
-	m, n := a.Dims()
-	workers := 1
-	if m*m*n/2 >= parallelThreshold {
-		workers = min(Workers(maxWorkers), m)
-	}
-	// Stride rows by worker id: row i costs (m−i) inner products, so
-	// striding interleaves cheap and expensive rows.
-	rows := func(w int) {
-		for i := w; i < m; i += workers {
-			dotRows(g.Row(i), a.Row(i), a, i, m, skipZero)
-		}
-	}
-	if workers == 1 {
-		rows(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows(w)
-		}()
-	}
-	wg.Wait()
 }
 
 // LeftSVD computes only the k leading left singular vectors and singular
@@ -245,7 +228,7 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		return &SVD{U: u, S: s}
 	case n < m && n <= gramLimit:
 		// Eigendecompose AᵀA (n×n), recover only the k needed U columns.
-		eig := gramEig(symMulTW(a.T(), opts.Workers), k, opts)
+		eig := gramEig(symTMulW(a, opts.Workers), k, opts)
 		s := make([]float64, k)
 		vk := New(n, k)
 		for j := range k {
@@ -288,18 +271,18 @@ func gramEig(g *Matrix, k int, opts SubspaceOptions) *Eigen {
 
 // gramTOperator represents WᵀW as an operator.
 type gramTOperator struct {
-	w         *Matrix
-	qt, t, zt *Matrix // qᵀ, W·q and (Wᵀ·W·q)ᵀ
+	w     *Matrix
+	qp    panels  // the block's columns, packed
+	t, zt *Matrix // W·q and (Wᵀ·W·q)ᵀ
 }
 
 func (o *gramTOperator) Dim() int { return o.w.Cols() }
 
 // ApplyBlock computes z = Wᵀ·(W·q).
 func (o *gramTOperator) ApplyBlock(q, z *Matrix, workers int) {
-	qt := scratch(&o.qt, q.cols, q.rows)
-	q.transposeInto(qt)
+	o.qp.packCols(q)
 	t := scratch(&o.t, o.w.rows, q.cols)
-	mulTInto(t, o.w, qt, workers, false)
+	tiledInto(nativeLeaf, t, rowsOf(o.w), &o.qp, workers, false)
 	zt := scratch(&o.zt, q.cols, o.w.cols)
 	tmulInto(zt, t, o.w, workers)
 	zt.transposeInto(z)

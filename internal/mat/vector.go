@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Dot returns the inner product of x and y.
@@ -16,79 +15,6 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// dot4 returns the inner products of a with b0, b1, b2 and b3. Each sum
-// is accumulated left to right exactly as Dot accumulates it, so every
-// result has Dot's bits; the four chains are independent, which lets the
-// loop run at the multiplier's throughput where Dot waits on the latency
-// of its one add chain.
-func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for i, v := range a {
-		s0 += v * b0[i]
-		s1 += v * b1[i]
-		s2 += v * b2[i]
-		s3 += v * b3[i]
-	}
-	return s0, s1, s2, s3
-}
-
-// dot4Nonzero is dot4 without the terms in which a is zero: the sums the
-// matrix products make, which skip a zero left factor instead of adding
-// 0·b (NaN for an infinite b).
-func dot4Nonzero(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for i, v := range a {
-		if v == 0 {
-			continue
-		}
-		s0 += v * b0[i]
-		s1 += v * b1[i]
-		s2 += v * b2[i]
-		s3 += v * b3[i]
-	}
-	return s0, s1, s2, s3
-}
-
-// dotNonzero is Dot without the terms in which x is zero.
-func dotNonzero(x, y []float64) float64 {
-	y = y[:len(x)]
-	var s float64
-	for i, v := range x {
-		if v == 0 {
-			continue
-		}
-		s += v * y[i]
-	}
-	return s
-}
-
-// dotRows sets dst[j] to the inner product of a with row j of b for every
-// j in [lo, hi), four rows of b per pass over a: Dot's sum, or with
-// skipZero dotNonzero's.
-func dotRows(dst, a []float64, b *Matrix, lo, hi int, skipZero bool) {
-	// Without a zero in a there is nothing to skip, and one scan of a
-	// spares every pass over it the per-term test.
-	skipZero = skipZero && slices.Contains(a, 0)
-	n := b.cols
-	j := lo
-	for ; j+4 <= hi; j += 4 {
-		rows := b.data[j*n : (j+4)*n]
-		b0, b1, b2, b3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
-		if skipZero {
-			dst[j], dst[j+1], dst[j+2], dst[j+3] = dot4Nonzero(a, b0, b1, b2, b3)
-		} else {
-			dst[j], dst[j+1], dst[j+2], dst[j+3] = dot4(a, b0, b1, b2, b3)
-		}
-	}
-	for ; j < hi; j++ {
-		if skipZero {
-			dst[j] = dotNonzero(a, b.data[j*n:(j+1)*n])
-		} else {
-			dst[j] = Dot(a, b.data[j*n:(j+1)*n])
-		}
-	}
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
