@@ -72,12 +72,15 @@ e2e-replicate:
 	./scripts/e2e_replicate.sh
 
 # fuzz exercises the trust-boundary fuzz targets briefly: the model
-# decoder, the POST /search body, and the GET /search and /related
-# query strings.
+# decoder, the POST /search body, the GET /search and /related query
+# strings, and the POST /stream NDJSON body. FuzzStreamPost caps input
+# minimization at 5s: inputs grown from its 1 MiB seed otherwise spend
+# most of the 30s being minimized instead of fuzzed.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=30s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchPost$$' -fuzztime=30s ./cmd/cubelsiserve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchGet$$' -fuzztime=30s ./cmd/cubelsiserve/
+	$(GO) test -run='^$$' -fuzz='^FuzzStreamPost$$' -fuzztime=30s -fuzzminimizetime=5s ./cmd/cubelsiserve/
 
 fmt:
 	gofmt -l -w .

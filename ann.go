@@ -17,7 +17,7 @@ import (
 // depth kept by the approximate stage before the exact rerank (0 keeps
 // just n; embed.ExactRerank keeps everything, which at full probing is
 // bit-identical to the exact scan — the parity tests' configuration).
-// When the engine carries a quantized embedding view (a v4 model saved
+// When the engine carries a quantized embedding view (a model saved
 // with WithInt8Embedding or WithFloat16Embedding), candidates are
 // scored against it and survivors are always rescored against the
 // full-precision rows, so quantization never changes how survivors
@@ -29,9 +29,6 @@ func (e *Engine) WithANN(nprobe, rerank int) (*Engine, error) {
 	}
 	if rerank < 0 {
 		return nil, fmt.Errorf("%w: WithANN(%d, %d): rerank must be ≥ 0", ErrInvalidOptions, nprobe, rerank)
-	}
-	if e.emb == nil {
-		return nil, fmt.Errorf("cubelsi: WithANN requires an embedding-backed engine (legacy v1 dense models cannot serve ANN)")
 	}
 	if e.k < 1 {
 		return nil, fmt.Errorf("cubelsi: WithANN requires at least one concept to use as a coarse quantizer")

@@ -3,7 +3,8 @@
 // regenerates the corresponding result; `go test -bench=. -benchmem`
 // therefore reproduces the full evaluation's compute profile. The
 // experiment *outputs* (the tables themselves) come from cmd/experiments
-// and are recorded in EXPERIMENTS.md.
+// (`go run ./cmd/experiments -only table3`, …); no record of a run is
+// kept in the repository.
 package cubelsi
 
 import (
@@ -180,7 +181,7 @@ func BenchmarkFigure5_DecompositionAtRatio(b *testing.B) {
 	for range b.N {
 		if _, err := core.Build(context.Background(), s.Corpus.Clean, core.Options{
 			Tucker:   tucker.Options{J1: j1, J2: j2, J3: j3, MaxSweeps: s.Sweeps, Seed: uint64(s.Seed)},
-			Spectral: cluster.SpectralOptions{K: minIntBench(s.K, j2), Seed: s.Seed},
+			Spectral: cluster.SpectralOptions{K: min(s.K, j2), Seed: s.Seed},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -248,11 +249,4 @@ func pickRanker(s *experiments.Setup, name string) eval.Queryable {
 		}
 	}
 	panic("ranker not found: " + name)
-}
-
-func minIntBench(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -175,9 +175,9 @@ func WithSketch(oversample, powerIters int) BuildOption {
 // restored with LoadFile): the ALS sweep starts from the saved factor
 // matrices instead of cold, and the engine's concept labels carry over
 // for every tag that did not move. The engine must carry warm-start
-// factors (any built engine, or a model saved in format v3; pre-v3
-// loads without a decomposition cannot warm-start and make NewIndex
-// fail). One-shot Build ignores it.
+// factors (any built engine, or a model saved without
+// WithoutWarmFactors; otherwise NewIndex fails). One-shot Build ignores
+// it.
 func WithPreviousModel(eng *Engine) BuildOption {
 	return func(s *buildSettings) { s.prevModel = eng }
 }

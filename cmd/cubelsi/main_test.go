@@ -75,6 +75,22 @@ func TestRunFlagsAndExitCodes(t *testing.T) {
 			2, f[0] + " cannot be combined with -load",
 		})
 	}
+	// Model files in the retired streaming formats fail with the codec's
+	// one-line conversion message, exit 1.
+	legacy := map[string]string{"v3": filepath.Join("..", "..", "internal", "codec", "testdata", "paper_v3.clsi")}
+	for name, v := range map[string]byte{"v1": 1, "v2": 2} {
+		legacy[name] = filepath.Join(dir, name+".clsi")
+		header := []byte{'C', 'L', 'S', 'I', v, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+		if err := os.WriteFile(legacy[name], header, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, path := range legacy {
+		cases = append(cases, testCase{
+			"load " + name + " model", []string{"-load", path, "-save", filepath.Join(dir, "new.clsi")},
+			1, "model format " + name + ` is no longer readable; convert it with "cubelsi -load old.clsi -save new.clsi" built from commit fd1f040, the last that reads v1–v3` + "\n",
+		})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

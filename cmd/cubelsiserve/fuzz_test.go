@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/datagen"
 	"repro/internal/httpx"
 )
 
@@ -192,6 +196,147 @@ func FuzzSearchGet(f *testing.F) {
 		httpx.WriteJSON(wantRec, http.StatusOK, want)
 		if !bytes.Equal(rec.Body.Bytes(), wantRec.Body.Bytes()) {
 			t.Fatalf("GET %s?%s:\nserved     %s\nin-process %s", path, rawQuery, rec.Body, wantRec.Body)
+		}
+	})
+}
+
+// FuzzStreamPost feeds arbitrary NDJSON bodies to POST /stream, in batch
+// and firehose mode, through the server's full handler stack. Each input
+// gets a fresh manual-flush ingestor over one shared index built from
+// datagen.Tiny, so no idempotency window or queue leaks between inputs;
+// ?flush=1 is never passed, and the ingestor is retired with a no-op
+// final flush, so the shared index never changes. Properties: no panic;
+// batch mode answers 200, 400 or 429 with a summary whose accepted plus
+// duplicates is at most the number of non-blank lines, and the
+// ingestor's Accepted counter rises by exactly the summary's accepted;
+// firehose mode answers 200 with one ack per non-blank line, numbered
+// 1..n in order, plus at most one trailing read-error ack that ends the
+// stream early.
+func FuzzStreamPost(f *testing.F) {
+	corpus := datagen.Generate(datagen.Tiny()).Raw
+	cfg := cubelsi.DefaultConfig()
+	cfg.ReductionRatios = [3]float64{8, 8, 8}
+	idx, err := cubelsi.NewIndex(context.Background(), cubelsi.FromDataset(corpus), cubelsi.WithConfig(cfg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	live := map[cubelsi.Assignment]bool{}
+	for _, a := range corpus.Assignments() {
+		live[cubelsi.Assignment{User: corpus.Users.Name(a.User), Tag: strings.ToLower(corpus.Tags.Name(a.Tag)),
+			Resource: corpus.Resources.Name(a.Resource)}] = true
+	}
+	const queue = 64
+
+	rec := func(user, tag, resource string, seq int) string {
+		return fmt.Sprintf(`{"user":%q,"tag":%q,"resource":%q,"client":"c","seq":%d}`+"\n", user, tag, resource, seq)
+	}
+	var many strings.Builder
+	for i := range queue + 8 {
+		many.WriteString(rec(fmt.Sprint("u", i), fmt.Sprint("t", i%5), fmt.Sprint("r", i%7), i+1))
+	}
+	for _, seed := range []string{
+		// docs/OPERATIONS.md examples.
+		`{"user":"u9","tag":"jazz","resource":"r3","client":"feed","seq":17}` + "\n" +
+			`{"op":"remove","user":"u2","tag":"folk","resource":"r1","client":"feed","seq":18}` + "\n",
+		// Blank and CRLF lines.
+		"\n\n" + rec("u1", "Jazz", "r1", 0) + "\r\n\r\n" + `{"user":"u1","tag":"jazz","resource":"r2"}`,
+		"\r\n", "",
+		// Bad JSON, an unknown op, missing fields, a repeated seq.
+		rec("u1", "jazz", "r1", 0) + "not json at all\n" + rec("u1", "x", "r2", 0),
+		`{"op":"upsert","user":"u1","tag":"jazz","resource":"r1"}`,
+		`{"user":"u1","tag":"jazz"}` + "\n{}\n",
+		rec("u1", "jazz", "r1", 3) + rec("u2", "folk", "r2", 3),
+		// A line over 1 MiB, then a record the scanner never reaches.
+		rec("u1", strings.Repeat("x", maxStreamLine), "r1", 0) + rec("u1", "jazz", "r1", 0),
+		// More records than the queue holds.
+		many.String(),
+	} {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, firehose bool) {
+		s := newLifecycleServer(nil, idx, "")
+		if err := s.enableStreaming(cubelsi.WithFlushEvery(1<<20), cubelsi.WithFlushInterval(time.Hour),
+			cubelsi.WithFlushDrift(-1), cubelsi.WithQueueCapacity(queue)); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(body), "\n")
+		nonBlank := 0
+		for i := range lines {
+			if lines[i] = strings.TrimSuffix(lines[i], "\r"); lines[i] != "" { // as bufio.ScanLines reads them
+				nonBlank++
+			}
+		}
+		path := map[bool]string{false: "/stream", true: "/stream?firehose=1"}[firehose]
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		accepted := s.ing.Stats().Accepted
+
+		if firehose {
+			if w.Code != http.StatusOK {
+				t.Fatalf("firehose status %d: %s", w.Code, w.Body)
+			}
+			var acks []streamAck
+			dec := json.NewDecoder(w.Body)
+			for dec.More() {
+				var a streamAck
+				if err := dec.Decode(&a); err != nil {
+					t.Fatalf("ack stream: %v", err)
+				}
+				acks = append(acks, a)
+			}
+			n := len(acks)
+			if n > 0 && strings.HasPrefix(acks[n-1].Error, "read stream:") {
+				if n--; acks[n].Line != n+1 || n > nonBlank {
+					t.Fatalf("read-error ack %+v after %d acks for %d lines", acks[n], n, nonBlank)
+				}
+			} else if n != nonBlank {
+				t.Fatalf("%d acks for %d non-blank lines: %s", n, nonBlank, w.Body)
+			}
+			var acked uint64
+			for i, a := range acks[:n] {
+				if a.Line != i+1 {
+					t.Fatalf("ack %d numbers line %d", i, a.Line)
+				}
+				if a.Status == "accepted" {
+					acked++
+				}
+			}
+			if acked != accepted {
+				t.Fatalf("%d accepted acks, ingestor accepted %d", acked, accepted)
+			}
+		} else {
+			var sum streamSummary
+			if err := json.Unmarshal(w.Body.Bytes(), &sum); err != nil {
+				t.Fatalf("summary %q: %v", w.Body, err)
+			}
+			switch {
+			case w.Code != http.StatusOK && w.Code != http.StatusBadRequest && w.Code != http.StatusTooManyRequests:
+				t.Fatalf("batch status %d: %s", w.Code, w.Body)
+			case sum.Accepted+sum.Duplicates > nonBlank:
+				t.Fatalf("summary %+v for %d non-blank lines", sum, nonBlank)
+			case uint64(sum.Accepted) != accepted:
+				t.Fatalf("summary accepted %d, ingestor accepted %d", sum.Accepted, accepted)
+			}
+		}
+
+		// Retire the ingestor without touching the shared index: re-offer
+		// every triple the body names with the op that is a no-op against
+		// the corpus (the later op wins for a queued triple), so Close's
+		// final flush applies an empty delta.
+		for _, ln := range lines {
+			var r cubelsi.StreamRecord
+			if json.Unmarshal([]byte(ln), &r) == nil {
+				r.Op, r.Client, r.Seq = "remove", "", 0
+				if live[cubelsi.Assignment{User: r.User, Tag: strings.ToLower(r.Tag), Resource: r.Resource}] {
+					r.Op = "add"
+				}
+				_, _ = s.ing.Offer(r)
+			}
+		}
+		if err := s.ing.Close(); err != nil || idx.Snapshot().Version() != 1 {
+			t.Fatalf("an input leaked into the shared index (close: %v, version %d)", err, idx.Snapshot().Version())
 		}
 	})
 }

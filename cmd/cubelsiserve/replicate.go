@@ -41,7 +41,13 @@ func (s *server) publishSnapshot(eng *cubelsi.Engine) {
 		return // already published (or something newer is out)
 	}
 	path := filepath.Join(s.spool, fmt.Sprintf("model-v%d.clsi", eng.Version()))
-	if err := eng.SaveFile(path); err != nil {
+	// Replicas serve ?user= from the spooled file, so it carries the user
+	// factors whenever the snapshot has them.
+	var opts []cubelsi.SaveOption
+	if eng.UserFactors() {
+		opts = append(opts, cubelsi.WithUserFactors())
+	}
+	if err := eng.SaveFile(path, opts...); err != nil {
 		fmt.Fprintf(os.Stderr, "cubelsiserve: spool snapshot v%d: %v\n", eng.Version(), err)
 		return
 	}

@@ -241,11 +241,10 @@ type statsResponse struct {
 	CoreDims    [3]int `json:"core_dims"`
 	Concepts    int    `json:"concepts"`
 	// EmbeddingDim is k₂ of the Theorem 2 tag embedding the model serves
-	// distances from; 0 marks a legacy matrix-backed model.
+	// distances from.
 	EmbeddingDim int `json:"embedding_dim"`
 	// EmbeddingBytes is the in-memory size of the tag-semantics
-	// structure: 8·|T|·k₂ for embedding-backed models (vs 8·|T|² a dense
-	// matrix would cost).
+	// structure: 8·|T|·k₂ (vs 8·|T|² a dense distance matrix would cost).
 	EmbeddingBytes int64   `json:"embedding_bytes"`
 	Fit            float64 `json:"fit"`
 	// ModelVersion is the lifecycle counter of the serving snapshot; it
@@ -288,10 +287,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	eng := s.engine()
 	st := eng.Stats()
-	embBytes := 8 * int64(st.Tags) * int64(st.EmbeddingDim)
-	if st.EmbeddingDim == 0 {
-		embBytes = 8 * int64(st.Tags) * int64(st.Tags)
-	}
 	resp := statsResponse{
 		Users:             st.Users,
 		Tags:              st.Tags,
@@ -300,7 +295,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CoreDims:          st.CoreDims,
 		Concepts:          st.Concepts,
 		EmbeddingDim:      st.EmbeddingDim,
-		EmbeddingBytes:    embBytes,
+		EmbeddingBytes:    8 * int64(st.Tags) * int64(st.EmbeddingDim),
 		Fit:               st.Fit,
 		ModelVersion:      eng.Version(),
 		SourceFingerprint: eng.SourceFingerprint(),

@@ -387,6 +387,35 @@ func TestReplicationFleetConvergence(t *testing.T) {
 	if wst.Replication == nil || wst.Replication.Role != "writer" || wst.Replication.PublishedVersion != 2 {
 		t.Fatalf("writer replication section = %+v", wst.Replication)
 	}
+	// Replicas personalize exactly as the writer does: the spooled
+	// snapshot carries the user factors, so ?user= answers match byte for
+	// byte — and differ from the shared ranking, which a replica without
+	// the factors would serve instead.
+	if !wst.UserFactors || wst.PersonalizableUsers == 0 {
+		t.Fatalf("writer user_factors=%v personalizable_users=%d", wst.UserFactors, wst.PersonalizableUsers)
+	}
+	body := func(ts *httptest.Server, path string) string {
+		var raw json.RawMessage
+		if resp := getJSON(t, ts, path, &raw); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return string(raw)
+	}
+	const personal = "/search?q=audio,code&user=mu0"
+	if body(wts, personal) == body(wts, "/search?q=audio,code") {
+		t.Fatal("fixture: the personalized answer equals the shared one")
+	}
+	for _, rts := range []*httptest.Server{r1ts, r2ts} {
+		var st statsResponse
+		getJSON(t, rts, "/stats", &st)
+		if !st.UserFactors || st.PersonalizableUsers != wst.PersonalizableUsers {
+			t.Fatalf("replica user_factors=%v personalizable_users=%d, writer %d",
+				st.UserFactors, st.PersonalizableUsers, wst.PersonalizableUsers)
+		}
+		if got, want := body(rts, personal), body(wts, personal); got != want {
+			t.Fatalf("replica ?user= answer\n%s\nwriter\n%s", got, want)
+		}
+	}
 	// Replica spool files are byte-identical to the writer's snapshot,
 	// which is written in the current model format.
 	wantBytes, err := os.ReadFile(filepath.Join(spool, "model-v2.clsi"))

@@ -88,12 +88,10 @@ type Stats struct {
 	// Fit is the fraction of the tensor norm the decomposition captured.
 	Fit float64
 	// Sweeps is the number of ALS sweeps the decomposition ran — the
-	// headline number warm-started updates improve. Zero for engines
-	// restored from pre-v3 model files, which did not record it.
+	// headline number warm-started updates improve.
 	Sweeps int
 	// EmbeddingDim is k₂, the dimensionality of the Theorem 2 tag
-	// embedding the engine serves distances from. Zero for legacy
-	// matrix-backed engines.
+	// embedding the engine serves distances from.
 	EmbeddingDim int
 }
 
@@ -109,7 +107,7 @@ type Engine struct {
 	// build, +1 per Index.Apply); fingerprint identifies the cleaned
 	// source corpus; warm carries the ALS factor matrices future
 	// incremental rebuilds warm-start from (nil on engines restored from
-	// pre-v3 files).
+	// models saved WithoutWarmFactors).
 	version     uint64
 	fingerprint [32]byte
 	warm        *tucker.WarmStart
@@ -119,14 +117,11 @@ type Engine struct {
 	resources *tagging.Interner
 
 	// emb is the Theorem 2 tag embedding; all tag-distance serving goes
-	// through it. distances is the legacy dense fallback, populated only
-	// for v1 models that carry no decomposition to derive an embedding
-	// from.
-	emb       *embed.TagEmbedding
-	distances *mat.Matrix
-	assign    []int
-	k         int
-	index     *ir.Index
+	// through it.
+	emb    *embed.TagEmbedding
+	assign []int
+	k      int
+	index  *ir.Index
 
 	// ann is the optional IVF index over emb (WithANN); annProbe and
 	// annRerank are its configured query defaults.
@@ -134,7 +129,7 @@ type Engine struct {
 	annProbe  int
 	annRerank int
 
-	// quant8 / quant16 are the quantized embedding views a v4 model
+	// quant8 / quant16 are the quantized embedding views a loaded model
 	// carried (at most one is used: int8 wins when both are present).
 	// They feed ANN candidate generation and lossless re-saves only.
 	quant8  *quant.Int8
@@ -166,15 +161,13 @@ type Engine struct {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Version returns the engine's lifecycle counter: 1 for a fresh build,
-// incremented by every Index.Apply, and preserved across Save/Load
-// (zero only for engines restored from pre-v3 model files, which
-// predate versioning — Load normalizes those to 1).
+// incremented by every Index.Apply, and preserved across Save/Load.
 func (e *Engine) Version() uint64 { return e.version }
 
 // SourceFingerprint returns the hex SHA-256 fingerprint of the cleaned
-// source corpus the engine was built from, or "" when unknown (models
-// saved before format v3). Two engines with equal fingerprints were
-// built from identical cleaned assignment sets.
+// source corpus the engine was built from, or "" when unknown. Two
+// engines with equal fingerprints were built from identical cleaned
+// assignment sets.
 func (e *Engine) SourceFingerprint() string {
 	if e.fingerprint == ([32]byte{}) {
 		return ""
@@ -215,33 +208,18 @@ func (e *Engine) Distance(tag1, tag2 string) (float64, error) {
 	if i == j {
 		return 0, nil
 	}
-	if e.emb != nil {
-		return e.emb.Dist(i, j), nil
-	}
-	return e.distances.At(i, j), nil
-}
-
-// EmbeddingDim returns k₂, the dimensionality of the tag embedding
-// (zero for legacy matrix-backed engines).
-func (e *Engine) EmbeddingDim() int {
-	if e.emb == nil {
-		return 0
-	}
-	return e.emb.Dim()
+	return e.emb.Dist(i, j), nil
 }
 
 // RelatedTags returns the n tags semantically closest to tag, nearest
-// first. Membership in the top-n is decided by (distance, tag id) —
-// the same strict order on both the embedding and the legacy dense
-// path — and the returned list is then ordered by (distance, tag name)
-// for display. n is clamped once, before dispatching to a backend:
-// n ≤ 0 and n > |T|−1 both mean every other tag, so the two backends
-// cannot drift apart on the edge cases. On embedding-backed engines the
-// lookup is a blocked parallel top-k selection over the embedding rows
-// — O(|T|·k₂) work and O(n) memory, never a scan of a dense matrix row
-// — unless the engine was derived with WithANN, in which case only the
-// configured number of IVF lists is probed (sublinear in |T|, with
-// recall governed by the nprobe/rerank knobs).
+// first. Membership in the top-n is decided by (distance, tag id), and
+// the returned list is then ordered by (distance, tag name) for display.
+// n ≤ 0 and n > |T|−1 both mean every other tag. The lookup is a blocked
+// parallel top-k selection over the embedding rows — O(|T|·k₂) work and
+// O(n) memory, never a scan of a dense matrix row — unless the engine
+// was derived with WithANN, in which case only the configured number of
+// IVF lists is probed (sublinear in |T|, with recall governed by the
+// nprobe/rerank knobs).
 func (e *Engine) RelatedTags(tag string, n int) ([]RelatedTag, error) {
 	return e.relatedTags(tag, n, e.annProbe)
 }
@@ -251,35 +229,14 @@ func (e *Engine) relatedTags(tag string, n, nprobe int) ([]RelatedTag, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One clamp for both backends: the request is normalized here so the
-	// embedding and legacy dense paths answer identical edge cases
-	// identically by construction.
 	if total := e.tags.Len() - 1; n <= 0 || n > total {
 		n = total
 	}
 	var nb []embed.Neighbor
-	switch {
-	case e.ann != nil:
+	if e.ann != nil {
 		nb = e.ann.NearestK(id, n, nprobe, e.annRerank)
-	case e.emb != nil:
+	} else {
 		nb = e.emb.NearestK(id, n)
-	default:
-		nb = make([]embed.Neighbor, 0, e.tags.Len()-1)
-		for j := range e.tags.Len() {
-			if j == id {
-				continue
-			}
-			nb = append(nb, embed.Neighbor{Tag: j, Dist: e.distances.At(id, j)})
-		}
-		sort.Slice(nb, func(a, b int) bool {
-			if nb[a].Dist != nb[b].Dist {
-				return nb[a].Dist < nb[b].Dist
-			}
-			return nb[a].Tag < nb[b].Tag
-		})
-		if len(nb) > n {
-			nb = nb[:n]
-		}
 	}
 	out := make([]RelatedTag, len(nb))
 	for i, b := range nb {

@@ -41,8 +41,9 @@
 // the compacted user-mode factors personalized queries blend in
 // (WithUserFactors). Engines derived with WithANN answer RelatedTags
 // through an inverted-file index over the concept centroids instead of
-// the exact scan. All older formats (v1–v4) still load through the
-// same calls.
+// the exact scan. v4 files (v5 without the user-factor section) load
+// through the same calls; the streaming formats v1–v3 are rejected with
+// a message naming the commit whose cubelsi converts them.
 //
 // # Queries
 //

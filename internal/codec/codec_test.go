@@ -3,7 +3,9 @@ package codec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,12 +30,9 @@ func buildModel(t testing.TB) *Model {
 			}
 		}
 	}
-	// ExactSpectral so the model carries both representations: the v2
-	// embedding and the v1 dense matrix (for WriteV1-based tests).
 	p, err := core.Build(context.Background(), ds, core.Options{
-		Tucker:        tucker.Options{J1: 3, J2: 3, J3: 3, Seed: 1},
-		Spectral:      cluster.SpectralOptions{K: 2, Seed: 1},
-		ExactSpectral: true,
+		Tucker:   tucker.Options{J1: 3, J2: 3, J3: 3, Seed: 1},
+		Spectral: cluster.SpectralOptions{K: 2, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,22 +46,28 @@ func buildModel(t testing.TB) *Model {
 		Resources:   ds.Resources.Names(),
 		CoreDims:    [3]int{cj1, cj2, cj3},
 		Fit:         p.Decomposition.Fit,
-		Decomp:      p.Decomposition,
+		Sweeps:      p.Decomposition.Sweeps,
+		Warm:        &tucker.WarmStart{Y2: p.Decomposition.Y2, Y3: p.Decomposition.Y3},
 		Embedding:   p.Embedding.Matrix(),
-		Distances:   p.Distances,
 		Assign:      p.Assign,
 		K:           p.K,
 		Index:       p.Index,
 	}
 }
 
-func roundtrip(t *testing.T, m *Model) *Model {
+// written returns m as Write encodes it.
+func written(t testing.TB, m *Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	return buf.Bytes()
+}
+
+func roundtrip(t *testing.T, m *Model) *Model {
+	t.Helper()
+	got, err := Read(bytes.NewReader(written(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,79 +76,87 @@ func roundtrip(t *testing.T, m *Model) *Model {
 
 func TestRoundtripExact(t *testing.T) {
 	m := buildModel(t)
-	got := roundtrip(t, m)
+	eqModels(t, roundtrip(t, m), m)
+}
 
-	if got.Lowercase != m.Lowercase || got.Assignments != m.Assignments || got.K != m.K {
-		t.Fatalf("scalars changed: %+v vs %+v", got, m)
-	}
-	if got.CoreDims != m.CoreDims || math.Float64bits(got.Fit) != math.Float64bits(m.Fit) {
-		t.Fatalf("metadata changed: dims %v fit %v, want %v / %v", got.CoreDims, got.Fit, m.CoreDims, m.Fit)
-	}
-	eqStrings := func(name string, a, b []string) {
-		if len(a) != len(b) {
-			t.Fatalf("%s length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d]: %q vs %q", name, i, a[i], b[i])
-			}
-		}
-	}
-	eqStrings("users", got.Users, m.Users)
-	eqStrings("tags", got.Tags, m.Tags)
-	eqStrings("resources", got.Resources, m.Resources)
-
-	for i, c := range m.Assign {
-		if got.Assign[i] != c {
-			t.Fatalf("assign[%d] = %d, want %d", i, got.Assign[i], c)
-		}
-	}
-
-	// The embedding and factors must be bit-identical.
-	eqFloats := func(name string, a, b []float64) {
-		if len(a) != len(b) {
-			t.Fatalf("%s length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("%s[%d]: %v vs %v (bits differ)", name, i, a[i], b[i])
-			}
-		}
-	}
-	eqFloats("embedding", got.Embedding.Data(), m.Embedding.Data())
-	if got.Distances != nil {
-		t.Fatal("v2 streams must not carry the dense distance matrix")
-	}
-	eqFloats("core", got.Decomp.Core.Data(), m.Decomp.Core.Data())
-	eqFloats("y1", got.Decomp.Y1.Data(), m.Decomp.Y1.Data())
-	eqFloats("y2", got.Decomp.Y2.Data(), m.Decomp.Y2.Data())
-	eqFloats("y3", got.Decomp.Y3.Data(), m.Decomp.Y3.Data())
-	for mode := range m.Decomp.Lambda {
-		eqFloats("lambda", got.Decomp.Lambda[mode], m.Decomp.Lambda[mode])
-	}
-	if math.Float64bits(got.Decomp.Fit) != math.Float64bits(m.Decomp.Fit) || got.Decomp.Sweeps != m.Decomp.Sweeps {
-		t.Fatalf("fit/sweeps changed")
-	}
-
-	// The index must answer identically.
-	q := map[int]int{0: 1}
-	a, b := m.Index.Query(q, 0), got.Index.Query(q, 0)
+func eqF64Bits(t *testing.T, name string, a, b []float64) {
+	t.Helper()
 	if len(a) != len(b) {
-		t.Fatalf("index query lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("%s length %d vs %d", name, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index query result %d: %+v vs %+v", i, a[i], b[i])
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s not bit-identical at %d", name, i)
 		}
 	}
 }
 
-func TestRoundtripNilDecomp(t *testing.T) {
+// eqModels fails unless got carries every section of want bit for bit,
+// and the index answers a query identically.
+func eqModels(t *testing.T, got, want *Model) {
+	t.Helper()
+	if got.Lowercase != want.Lowercase || got.Assignments != want.Assignments ||
+		got.K != want.K || got.CoreDims != want.CoreDims || math.Float64bits(got.Fit) != math.Float64bits(want.Fit) ||
+		got.ModelVersion != want.ModelVersion || got.Fingerprint != want.Fingerprint ||
+		got.Sweeps != want.Sweeps {
+		t.Fatal("scalar sections changed across the roundtrip")
+	}
+	if !slices.Equal(got.Users, want.Users) || !slices.Equal(got.Tags, want.Tags) ||
+		!slices.Equal(got.Resources, want.Resources) || !slices.Equal(got.Assign, want.Assign) {
+		t.Fatal("vocabularies or concept assignment changed")
+	}
+	eqF64Bits(t, "embedding", got.Embedding.Data(), want.Embedding.Data())
+	if (got.Warm == nil) != (want.Warm == nil) || (got.Quant8 == nil) != (want.Quant8 == nil) ||
+		(got.Quant16 == nil) != (want.Quant16 == nil) || (got.UserFactors == nil) != (want.UserFactors == nil) {
+		t.Fatal("optional sections lost or invented")
+	}
+	if want.Warm != nil {
+		eqF64Bits(t, "warm Y2", got.Warm.Y2.Data(), want.Warm.Y2.Data())
+		eqF64Bits(t, "warm Y3", got.Warm.Y3.Data(), want.Warm.Y3.Data())
+	}
+	if q := want.Quant8; q != nil {
+		if got.Quant8.Rows != q.Rows || got.Quant8.Cols != q.Cols || !slices.Equal(got.Quant8.Codes, q.Codes) {
+			t.Fatal("int8 section changed")
+		}
+		eqF64Bits(t, "int8 scale", got.Quant8.Scale, q.Scale)
+		eqF64Bits(t, "int8 zero", got.Quant8.Zero, q.Zero)
+	}
+	if want.Quant16 != nil && !slices.Equal(got.Quant16.Bits, want.Quant16.Bits) {
+		t.Fatal("float16 section changed")
+	}
+	if want.UserFactors != nil {
+		if gr, gc := got.UserFactors.Dims(); gr != want.UserFactors.Rows() || gc != want.UserFactors.Cols() {
+			t.Fatalf("user-factor shape %d×%d changed", gr, gc)
+		}
+		eqF64Bits(t, "user factors", got.UserFactors.Data(), want.UserFactors.Data())
+	}
+	q := map[int]int{0: 1}
+	if a, b := want.Index.Query(q, 0), got.Index.Query(q, 0); !slices.Equal(a, b) {
+		t.Fatalf("index answers %+v, want %+v", b, a)
+	}
+}
+
+// decompByteSet returns a written model with its decomposition
+// presence byte — the byte after the sweeps field, located through a
+// sentinel sweep count — checked to be 0 and then set.
+func decompByteSet(t testing.TB) []byte {
 	m := buildModel(t)
-	m.Decomp = nil
-	got := roundtrip(t, m)
-	if got.Decomp != nil {
-		t.Fatal("nil decomposition should stay nil")
+	m.Sweeps = 0x5ca1ab1e
+	b := written(t, m)
+	off := bytes.Index(b, binary.LittleEndian.AppendUint64(nil, 0x5ca1ab1e)) + 8
+	if off < 8 || b[off] != 0 {
+		t.Fatalf("decomposition byte at %d not written as 0", off)
+	}
+	b[off] = 1
+	return b
+}
+
+// TestRoundtripNilDecomp: Write never emits a decomposition (the
+// layout's presence byte is 0), and a file that sets the byte is refused
+// rather than misparsed.
+func TestRoundtripNilDecomp(t *testing.T) {
+	if _, err := Read(bytes.NewReader(decompByteSet(t))); err == nil || !strings.Contains(err.Error(), "decomposition byte") {
+		t.Fatalf("err = %v, want decomposition-byte rejection", err)
 	}
 }
 
@@ -156,77 +169,6 @@ func TestWriteRequiresEmbedding(t *testing.T) {
 	}
 }
 
-func TestReadV1Stream(t *testing.T) {
-	m := buildModel(t)
-	var buf bytes.Buffer
-	if err := WriteV1(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Embedding != nil {
-		t.Fatal("v1 streams carry no embedding section")
-	}
-	if got.Distances == nil {
-		t.Fatal("v1 distances lost")
-	}
-	for i, v := range m.Distances.Data() {
-		if math.Float64bits(got.Distances.Data()[i]) != math.Float64bits(v) {
-			t.Fatalf("v1 distances not bit-identical at %d", i)
-		}
-	}
-	if got.Decomp == nil {
-		t.Fatal("v1 decomposition lost")
-	}
-	// Metadata is derived from the v1 decomposition.
-	if got.CoreDims != m.CoreDims || got.Fit != m.Fit {
-		t.Fatalf("v1 metadata: dims %v fit %v, want %v / %v", got.CoreDims, got.Fit, m.CoreDims, m.Fit)
-	}
-}
-
-func TestV1FilesAreQuadraticV2Linear(t *testing.T) {
-	// The point of format v2+: file size linear in the vocabularies
-	// instead of quadratic. With the same sections populated, the byte
-	// gap of the streaming layouts is exactly the matrix-section
-	// difference (8·|T|² vs 8·|T|·k₂) minus the v3 stream's 81 bytes of
-	// scalar overhead: core dims and fit (32) plus the lifecycle header —
-	// model version (8), fingerprint (32), sweeps (8) and the warm-start
-	// flag (1). (v4 adds alignment padding, so the exact-gap arithmetic
-	// is pinned on the v3 stream; the production-shape inequality below
-	// covers the current format.)
-	m := buildModel(t)
-	var v1, v2 bytes.Buffer
-	if err := WriteV1(&v1, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV3(&v2, m); err != nil {
-		t.Fatal(err)
-	}
-	wantGap := 8*(len(m.Distances.Data())-len(m.Embedding.Data())) - 81
-	if gap := v1.Len() - v2.Len(); gap != wantGap {
-		t.Fatalf("v1 %d bytes, v2 %d bytes: gap %d, want %d", v1.Len(), v2.Len(), gap, wantGap)
-	}
-
-	// Production-shaped models: v2 drops the decomposition entirely
-	// (Save ships embedding + metadata), v1 ships decomposition + dense
-	// matrix. The gap must then cover both sections.
-	v1.Reset()
-	v2.Reset()
-	m2 := *m
-	m2.Decomp = nil
-	if err := Write(&v2, &m2); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV1(&v1, m); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("production v2 (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
-	}
-}
-
 func TestBadMagic(t *testing.T) {
 	if _, err := Read(strings.NewReader("NOPE....")); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v, want bad-magic error", err)
@@ -234,49 +176,40 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, buildModel(t)); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := written(t, buildModel(t))
 	b[4] = 99 // bump version field
 	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v, want version error", err)
 	}
 }
 
-func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, buildModel(t)); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	// Truncation anywhere must produce an error, never a panic or a
-	// silently short model.
-	for _, frac := range []int{1, 2, 3, 10} {
-		trunc := b[:len(b)/frac]
-		if len(trunc) == len(b) {
-			continue
-		}
-		if _, err := Read(bytes.NewReader(trunc)); err == nil {
-			t.Fatalf("truncated to %d/%d bytes: want error", len(trunc), len(b))
+// requireTruncationsFail reads prefixes of m's encoding at fractions
+// across its length: each must be an error, never a panic or a silently
+// short model.
+func requireTruncationsFail(t *testing.T, m *Model) {
+	t.Helper()
+	full := written(t, m)
+	for frac := range 50 {
+		if cut := full[:len(full)*frac/50]; !errRead(cut) {
+			t.Fatalf("truncation to %d of %d bytes accepted", len(cut), len(full))
 		}
 	}
 }
 
+func errRead(b []byte) bool {
+	_, err := Read(bytes.NewReader(b))
+	return err != nil
+}
+
+func TestTruncatedStream(t *testing.T) { requireTruncationsFail(t, buildModel(t)) }
+
 func TestHugeLengthFieldFailsFast(t *testing.T) {
 	// A tiny stream claiming a multi-billion-element section must fail
 	// on EOF after a bounded allocation, not attempt a giant make().
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	buf.Write([]byte{1, 0, 0, 0}) // version 1
-	buf.WriteByte(1)              // lowercase
-	var scratch [8]byte
-	buf.Write(scratch[:]) // assignments = 0
-	// Users section: length 2^30 with no data behind it.
-	scratch = [8]byte{0, 0, 0, 0x40, 0, 0, 0, 0}
-	buf.Write(scratch[:])
-	if _, err := Read(&buf); err == nil {
+	b := append(Magic[:], 5, 0, 0, 0, 0, 1)        // version 5, flags, lowercase
+	b = binary.LittleEndian.AppendUint64(b, 0)     // assignments
+	b = binary.LittleEndian.AppendUint64(b, 1<<30) // users: 2^30 with no data behind
+	if _, err := Read(bytes.NewReader(b)); err == nil {
 		t.Fatal("want error for truncated huge section")
 	}
 }
@@ -300,11 +233,7 @@ func TestCorruptAssignRejected(t *testing.T) {
 	m := buildModel(t)
 	m.Assign = append([]int(nil), m.Assign...)
 	m.Assign[0] = m.K + 5 // out-of-range concept
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "concept") {
+	if _, err := Read(bytes.NewReader(written(t, m))); err == nil || !strings.Contains(err.Error(), "concept") {
 		t.Fatalf("err = %v, want concept-range error", err)
 	}
 }
@@ -312,11 +241,7 @@ func TestCorruptAssignRejected(t *testing.T) {
 func TestShapeMismatchRejected(t *testing.T) {
 	m := buildModel(t)
 	m.Tags = m.Tags[:len(m.Tags)-1] // vocabulary no longer matches Assign
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
+	if _, err := Read(bytes.NewReader(written(t, m))); err == nil {
 		t.Fatal("want shape-mismatch error")
 	}
 }

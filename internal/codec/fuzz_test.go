@@ -10,66 +10,57 @@ import (
 
 // FuzzLoad proves the decode path fails fast — an error, never a panic,
 // a hang, or an unbounded allocation — on corrupt or truncated model
-// bytes, for the v1–v5 formats (both decoders: the streaming one and
-// the aligned-layout parser ReadMapped shares).
+// bytes.
 func FuzzLoad(f *testing.F) {
-	// Seed with structurally valid streams of every format — the v3 seed
-	// carries the full lifecycle header and a warm-start factor section,
-	// and the aligned-layout seeds cover each combination of the opt-in
-	// sections: the quantized embedding views and the v5 user-factor
-	// matrix — plus systematic truncations and a few classic corruptions,
-	// so the fuzzer starts from deep inside the format.
-	m := buildModel(f)
-	var v1, v2, v3 bytes.Buffer
-	if err := WriteV1(&v1, m); err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteV2(&v2, m); err != nil { //nolint:staticcheck // fuzz corpus covers the legacy writer
-		f.Fatal(err)
-	}
-	if err := WriteV3(&v3, withLifecycle(m)); err != nil { //nolint:staticcheck // fuzz corpus covers the legacy writer
-		f.Fatal(err)
-	}
-	alignedVariants := [][3]bool{ // {int8, float16, user factors}
-		{false, false, false}, {true, false, false}, {false, true, false}, {true, true, false},
-		{false, false, true}, {true, false, true}, {false, true, true}, {true, true, true},
-	}
-	alignedSeeds := make([][]byte, 0, len(alignedVariants))
-	for _, variant := range alignedVariants {
-		qm := withLifecycle(buildModel(f))
-		if variant[0] {
-			qm.Quant8 = quant.QuantizeInt8(qm.Embedding)
+	// Seed with structurally valid files of both readable formats — the
+	// v5 seeds cover each combination of the opt-in sections (the
+	// quantized embedding views and the user-factor matrix), the v4 seeds
+	// are the factor-free ones with the version patched to 4 — plus
+	// systematic truncations and a few classic corruptions, so the fuzzer
+	// starts from deep inside the format. The rejected shapes ride along:
+	// the v1–v3 files and a set decomposition byte.
+	var valid [][]byte
+	for variant := range 8 { // bits: int8, float16, user factors
+		m := withLifecycle(buildModel(f))
+		if variant&1 != 0 {
+			m.Quant8 = quant.QuantizeInt8(m.Embedding)
 		}
-		if variant[1] {
-			qm.Quant16 = quant.QuantizeFloat16(qm.Embedding)
+		if variant&2 != 0 {
+			m.Quant16 = quant.QuantizeFloat16(m.Embedding)
 		}
-		if variant[2] {
-			withUserFactors(qm)
+		if variant&4 != 0 {
+			withUserFactors(m)
 		}
-		var aligned bytes.Buffer
-		if err := Write(&aligned, qm); err != nil {
-			f.Fatal(err)
+		data := written(f, m)
+		valid = append(valid, data)
+		if variant&4 == 0 {
+			v4 := bytes.Clone(data)
+			binary.LittleEndian.PutUint32(v4[4:8], VersionV4)
+			valid = append(valid, v4)
 		}
-		alignedSeeds = append(alignedSeeds, aligned.Bytes())
 	}
-	for _, valid := range append([][]byte{v1.Bytes(), v2.Bytes(), v3.Bytes()}, alignedSeeds...) {
-		f.Add(valid)
+	for _, data := range valid {
+		f.Add(data)
 		for _, frac := range []int{2, 3, 5, 10, 100} {
-			f.Add(valid[:len(valid)/frac])
+			f.Add(data[:len(data)/frac])
 		}
 		// Flip the version field.
 		for _, ver := range []uint32{0, Version + 1, 1 << 30} {
-			b := bytes.Clone(valid)
+			b := bytes.Clone(data)
 			binary.LittleEndian.PutUint32(b[4:8], ver)
 			f.Add(b)
 		}
 		// Blow up an interior length field.
-		b := bytes.Clone(valid)
+		b := bytes.Clone(data)
 		for i := 20; i+8 <= len(b) && i < 60; i += 8 {
 			binary.LittleEndian.PutUint64(b[i:i+8], 1<<40)
 		}
 		f.Add(b)
 	}
+	for _, v := range []uint32{1, 2, 3} {
+		f.Add(legacyFiles(f)[v])
+	}
+	f.Add(decompByteSet(f))
 	f.Add([]byte{})
 	f.Add([]byte("CLSI"))
 	f.Add([]byte("not a model at all"))

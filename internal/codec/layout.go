@@ -11,16 +11,14 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
-// The v4 layout is the streaming layout's section order re-encoded for
-// zero-copy reads: every bulk numeric payload (float64, uint64×?,
-// uint16) is preceded by zero padding up to the next 8-byte boundary of
-// the stream, so a reader holding the whole file — a memory mapping or
-// one io.ReadAll buffer — can alias the payload in place with
-// unsafe.Slice instead of decoding ~10⁷ elements one by one. Vocabulary
+// In the aligned layout every bulk numeric payload (float64, uint16) is
+// preceded by zero padding up to the next 8-byte boundary of the
+// stream, so a reader holding the whole file — a memory mapping or one
+// io.ReadAll buffer — can alias the payload in place with unsafe.Slice
+// instead of decoding ~10⁷ elements one by one. Vocabulary
 // strings are stored as one blob plus cumulative offsets; the parser
 // copies the blob to the heap once (so returned strings never dangle
 // into a closed mapping) and builds zero-copy string headers into the
@@ -47,19 +45,23 @@ var nativeLittleEndian = func() bool {
 	return b[0] == 0x02
 }()
 
-// writeAligned encodes the model in the aligned layout shared by v4 and
-// v5; version selects which header is written, and the user-factor
-// section is emitted only for v5 (WriteV4 rejects models carrying one).
-func writeAligned(w io.Writer, m *Model, version uint32) error {
-	if m.UserFactors != nil && version >= Version {
+// Write encodes the model to w in the current (v5) format, with the
+// quantized embedding sections included when m.Quant8 / m.Quant16 are
+// set and the user-factor section when m.UserFactors is set.
+// m.Embedding must be set.
+func Write(w io.Writer, m *Model) error {
+	if m.Embedding == nil {
+		return fmt.Errorf("codec: write: model has no tag embedding (see embed.FromDecomposition)")
+	}
+	if m.UserFactors != nil {
 		if r, c := m.UserFactors.Dims(); r != len(m.Users) || c != m.K {
 			return fmt.Errorf("codec: write: user-factor section is %d×%d for %d users and %d concepts", r, c, len(m.Users), m.K)
 		}
 	}
-	e := &v4encoder{w: bufio.NewWriter(w)}
+	e := &encoder{w: bufio.NewWriter(w)}
 
 	e.bytes(Magic[:])
-	e.u32(version)
+	e.u32(Version)
 	var flags byte
 	if m.Quant8 != nil {
 		flags |= v4FlagInt8
@@ -67,7 +69,7 @@ func writeAligned(w io.Writer, m *Model, version uint32) error {
 	if m.Quant16 != nil {
 		flags |= v4FlagFloat16
 	}
-	if m.UserFactors != nil && version >= Version {
+	if m.UserFactors != nil {
 		flags |= v5FlagUserFactors
 	}
 	e.byte(flags)
@@ -86,7 +88,10 @@ func writeAligned(w io.Writer, m *Model, version uint32) error {
 	e.bytes(m.Fingerprint[:])
 	e.length(m.Sweeps)
 
-	e.decomposition(m.Decomp)
+	// The decomposition presence byte, kept so the layout does not move:
+	// it once announced the full Tucker factors, no writer has set it
+	// since format v2, and the parser rejects it.
+	e.bool(false)
 	e.warmStart(m.Warm)
 	e.matrix(m.Embedding)
 
@@ -127,16 +132,16 @@ func writeAligned(w io.Writer, m *Model, version uint32) error {
 	return nil
 }
 
-// v4encoder writes primitives with a sticky error, tracking the stream
+// encoder writes primitives with a sticky error, tracking the stream
 // offset so bulk payloads can be padded to 8-byte alignment.
-type v4encoder struct {
+type encoder struct {
 	w   *bufio.Writer
 	off int64
 	err error
 	buf [8]byte
 }
 
-func (e *v4encoder) bytes(p []byte) {
+func (e *encoder) bytes(p []byte) {
 	if e.err != nil {
 		return
 	}
@@ -145,9 +150,9 @@ func (e *v4encoder) bytes(p []byte) {
 	e.err = err
 }
 
-func (e *v4encoder) byte(b byte) { e.bytes([]byte{b}) }
+func (e *encoder) byte(b byte) { e.bytes([]byte{b}) }
 
-func (e *v4encoder) bool(v bool) {
+func (e *encoder) bool(v bool) {
 	if v {
 		e.byte(1)
 	} else {
@@ -155,19 +160,19 @@ func (e *v4encoder) bool(v bool) {
 	}
 }
 
-func (e *v4encoder) u32(v uint32) {
+func (e *encoder) u32(v uint32) {
 	binary.LittleEndian.PutUint32(e.buf[:4], v)
 	e.bytes(e.buf[:4])
 }
 
-func (e *v4encoder) u64(v uint64) {
+func (e *encoder) u64(v uint64) {
 	binary.LittleEndian.PutUint64(e.buf[:8], v)
 	e.bytes(e.buf[:8])
 }
 
-func (e *v4encoder) i64(v int64) { e.u64(uint64(v)) }
+func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
 
-func (e *v4encoder) length(n int) {
+func (e *encoder) length(n int) {
 	if e.err == nil && n < 0 {
 		e.err = fmt.Errorf("negative length %d", n)
 		return
@@ -175,10 +180,10 @@ func (e *v4encoder) length(n int) {
 	e.u64(uint64(n))
 }
 
-func (e *v4encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 // pad8 writes zero bytes up to the next 8-byte stream boundary.
-func (e *v4encoder) pad8() {
+func (e *encoder) pad8() {
 	var zero [8]byte
 	if rem := int(e.off & 7); rem != 0 {
 		e.bytes(zero[:8-rem])
@@ -186,7 +191,7 @@ func (e *v4encoder) pad8() {
 }
 
 // f64s writes a length-prefixed, 8-aligned float64 payload.
-func (e *v4encoder) f64s(vs []float64) {
+func (e *encoder) f64s(vs []float64) {
 	e.length(len(vs))
 	e.pad8()
 	if nativeLittleEndian && len(vs) > 0 {
@@ -199,7 +204,7 @@ func (e *v4encoder) f64s(vs []float64) {
 }
 
 // u16s writes a length-prefixed, 8-aligned uint16 payload.
-func (e *v4encoder) u16s(vs []uint16) {
+func (e *encoder) u16s(vs []uint16) {
 	e.length(len(vs))
 	e.pad8()
 	if nativeLittleEndian && len(vs) > 0 {
@@ -213,7 +218,7 @@ func (e *v4encoder) u16s(vs []uint16) {
 }
 
 // int8s writes a length-prefixed int8 payload (no alignment needed).
-func (e *v4encoder) int8s(vs []int8) {
+func (e *encoder) int8s(vs []int8) {
 	e.length(len(vs))
 	if len(vs) > 0 {
 		e.bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)))
@@ -222,7 +227,7 @@ func (e *v4encoder) int8s(vs []int8) {
 
 // vocab writes a string table as {count, count+1 cumulative offsets,
 // blob} so the reader rebuilds every string from one slab.
-func (e *v4encoder) vocab(ss []string) {
+func (e *encoder) vocab(ss []string) {
 	e.length(len(ss))
 	e.pad8()
 	var off uint64
@@ -236,38 +241,14 @@ func (e *v4encoder) vocab(ss []string) {
 	}
 }
 
-func (e *v4encoder) matrix(m *mat.Matrix) {
+func (e *encoder) matrix(m *mat.Matrix) {
 	rows, cols := m.Dims()
 	e.length(rows)
 	e.length(cols)
 	e.f64s(m.Data())
 }
 
-func (e *v4encoder) dense3(t *tensor.Dense3) {
-	i1, i2, i3 := t.Dims()
-	e.length(i1)
-	e.length(i2)
-	e.length(i3)
-	e.f64s(t.Data())
-}
-
-func (e *v4encoder) decomposition(d *tucker.Decomposition) {
-	e.bool(d != nil)
-	if d == nil {
-		return
-	}
-	e.dense3(d.Core)
-	e.matrix(d.Y1)
-	e.matrix(d.Y2)
-	e.matrix(d.Y3)
-	for _, l := range d.Lambda {
-		e.f64s(l)
-	}
-	e.f64(d.Fit)
-	e.length(d.Sweeps)
-}
-
-func (e *v4encoder) warmStart(w *tucker.WarmStart) {
+func (e *encoder) warmStart(w *tucker.WarmStart) {
 	e.bool(w != nil && w.Y2 != nil && w.Y3 != nil)
 	if w == nil || w.Y2 == nil || w.Y3 == nil {
 		return
@@ -276,7 +257,7 @@ func (e *v4encoder) warmStart(w *tucker.WarmStart) {
 	e.matrix(w.Y3)
 }
 
-func (e *v4encoder) index(s *ir.IndexSnapshot) {
+func (e *encoder) index(s *ir.IndexSnapshot) {
 	e.length(s.NumTerms)
 	e.length(s.NumDocs)
 	e.length(len(s.DF))
@@ -299,7 +280,7 @@ func (e *v4encoder) index(s *ir.IndexSnapshot) {
 // the caller must keep data alive (and unmodified) for the model's
 // lifetime.
 func parseAligned(data []byte) (*Model, error) {
-	c := &v4cursor{data: data}
+	c := &cursor{data: data}
 
 	var magic [4]byte
 	c.read(magic[:])
@@ -307,8 +288,10 @@ func parseAligned(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("codec: bad magic %q: not a CubeLSI model", magic[:])
 	}
 	version := c.u32()
-	if c.err == nil && version != Version && version != VersionV4 {
-		return nil, fmt.Errorf("codec: aligned parser got version %d", version)
+	if c.err == nil {
+		if err := checkVersion(version); err != nil {
+			return nil, err
+		}
 	}
 	flags := c.byte()
 	if flags&v5FlagUserFactors != 0 && version < Version {
@@ -331,7 +314,9 @@ func parseAligned(data []byte) (*Model, error) {
 	c.read(m.Fingerprint[:])
 	m.Sweeps = c.length()
 
-	m.Decomp = c.decomposition()
+	if c.bool() {
+		return nil, fmt.Errorf("codec: corrupt model: the decomposition byte is set (no writer has set it since format v2)")
+	}
 	m.Warm = c.warmStart()
 	m.Embedding = c.matrix()
 
@@ -379,22 +364,22 @@ func parseAligned(data []byte) (*Model, error) {
 	return m, nil
 }
 
-// v4cursor walks a whole v4 image with a sticky error and bounds checks
+// cursor walks a whole model image with a sticky error and bounds checks
 // on every read, aliasing aligned payloads where possible.
-type v4cursor struct {
+type cursor struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (c *v4cursor) fail(format string, args ...any) {
+func (c *cursor) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
 }
 
 // take returns the next n raw bytes without copying.
-func (c *v4cursor) take(n int) []byte {
+func (c *cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
@@ -407,38 +392,38 @@ func (c *v4cursor) take(n int) []byte {
 	return p
 }
 
-func (c *v4cursor) read(dst []byte) {
+func (c *cursor) read(dst []byte) {
 	if p := c.take(len(dst)); p != nil {
 		copy(dst, p)
 	}
 }
 
-func (c *v4cursor) byte() byte {
+func (c *cursor) byte() byte {
 	if p := c.take(1); p != nil {
 		return p[0]
 	}
 	return 0
 }
 
-func (c *v4cursor) bool() bool { return c.byte() != 0 }
+func (c *cursor) bool() bool { return c.byte() != 0 }
 
-func (c *v4cursor) u32() uint32 {
+func (c *cursor) u32() uint32 {
 	if p := c.take(4); p != nil {
 		return binary.LittleEndian.Uint32(p)
 	}
 	return 0
 }
 
-func (c *v4cursor) u64() uint64 {
+func (c *cursor) u64() uint64 {
 	if p := c.take(8); p != nil {
 		return binary.LittleEndian.Uint64(p)
 	}
 	return 0
 }
 
-func (c *v4cursor) i64() int64 { return int64(c.u64()) }
+func (c *cursor) i64() int64 { return int64(c.u64()) }
 
-func (c *v4cursor) length() int {
+func (c *cursor) length() int {
 	v := c.u64()
 	if c.err == nil && v > maxLen {
 		c.fail("length %d exceeds limit", v)
@@ -447,10 +432,10 @@ func (c *v4cursor) length() int {
 	return int(v)
 }
 
-func (c *v4cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
 // align8 skips the padding up to the next 8-byte boundary.
-func (c *v4cursor) align8() {
+func (c *cursor) align8() {
 	if rem := c.off & 7; rem != 0 {
 		c.take(8 - rem)
 	}
@@ -464,7 +449,7 @@ func aliasable(p []byte, elem uintptr) bool {
 
 // f64s reads a length-prefixed aligned float64 payload, aliasing the
 // image bytes when the machine allows it.
-func (c *v4cursor) f64s() []float64 {
+func (c *cursor) f64s() []float64 {
 	n := c.length()
 	c.align8()
 	size, ok := checkedProduct(n, 8)
@@ -489,7 +474,7 @@ func (c *v4cursor) f64s() []float64 {
 }
 
 // u16s reads a length-prefixed aligned uint16 payload.
-func (c *v4cursor) u16s() []uint16 {
+func (c *cursor) u16s() []uint16 {
 	n := c.length()
 	c.align8()
 	size, ok := checkedProduct(n, 2)
@@ -514,7 +499,7 @@ func (c *v4cursor) u16s() []uint16 {
 }
 
 // int8s reads a length-prefixed int8 payload (always aliasable).
-func (c *v4cursor) int8s() []int8 {
+func (c *cursor) int8s() []int8 {
 	n := c.length()
 	p := c.take(n)
 	if c.err != nil || n == 0 {
@@ -526,7 +511,7 @@ func (c *v4cursor) int8s() []int8 {
 // vocab reads a string table. The blob is copied to the heap once so
 // the returned strings stay valid after a mapping is closed; string
 // headers are built zero-copy into that one copy.
-func (c *v4cursor) vocab() []string {
+func (c *cursor) vocab() []string {
 	n := c.length()
 	c.align8()
 	if c.err != nil {
@@ -572,7 +557,7 @@ func (c *v4cursor) vocab() []string {
 	return out
 }
 
-func (c *v4cursor) matrix() *mat.Matrix {
+func (c *cursor) matrix() *mat.Matrix {
 	rows := c.length()
 	cols := c.length()
 	data := c.f64s()
@@ -587,42 +572,7 @@ func (c *v4cursor) matrix() *mat.Matrix {
 	return mat.FromData(rows, cols, data)
 }
 
-func (c *v4cursor) dense3() *tensor.Dense3 {
-	i1 := c.length()
-	i2 := c.length()
-	i3 := c.length()
-	data := c.f64s()
-	if c.err != nil {
-		return nil
-	}
-	want, ok := checkedProduct(i1, i2, i3)
-	if !ok || len(data) != want {
-		c.fail("tensor data length %d does not match %d×%d×%d", len(data), i1, i2, i3)
-		return nil
-	}
-	t := tensor.NewDense3(i1, i2, i3)
-	copy(t.Data(), data)
-	return t
-}
-
-func (c *v4cursor) decomposition() *tucker.Decomposition {
-	if !c.bool() {
-		return nil
-	}
-	dec := &tucker.Decomposition{}
-	dec.Core = c.dense3()
-	dec.Y1 = c.matrix()
-	dec.Y2 = c.matrix()
-	dec.Y3 = c.matrix()
-	for i := range dec.Lambda {
-		dec.Lambda[i] = c.f64s()
-	}
-	dec.Fit = c.f64()
-	dec.Sweeps = c.length()
-	return dec
-}
-
-func (c *v4cursor) warmStart() *tucker.WarmStart {
+func (c *cursor) warmStart() *tucker.WarmStart {
 	if !c.bool() {
 		return nil
 	}
@@ -632,7 +582,7 @@ func (c *v4cursor) warmStart() *tucker.WarmStart {
 	return w
 }
 
-func (c *v4cursor) indexSnapshot() *ir.IndexSnapshot {
+func (c *cursor) indexSnapshot() *ir.IndexSnapshot {
 	s := &ir.IndexSnapshot{}
 	s.NumTerms = c.length()
 	s.NumDocs = c.length()

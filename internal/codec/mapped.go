@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -9,8 +8,8 @@ import (
 )
 
 // Mapping is a read-only view of a model file, memory-mapped where the
-// platform supports it (read into the heap otherwise). A v4 model
-// decoded from a mapping aliases its numeric payloads, so Close must
+// platform supports it (read into the heap otherwise). A model decoded
+// from a mapping aliases its numeric payloads, so Close must
 // not be called while the model (or an engine built on it) is in use; a
 // finalizer releases leaked mappings.
 type Mapping struct {
@@ -70,35 +69,21 @@ func openMapping(path string) (*Mapping, error) {
 	return mp, nil
 }
 
-// ReadMapped opens a model file through a memory mapping: a v4 or v5
-// file is parsed zero-copy against the mapped bytes — milliseconds for
-// any model size, with the page cache shared across replicas — and the
-// returned model's Mapped field owns the mapping. v1–v3 files are
-// decoded onto the heap as usual (the mapping is released before
-// returning) so callers can point ReadMapped at any model vintage.
+// ReadMapped opens a model file through a memory mapping and parses it
+// zero-copy against the mapped bytes with the parser Read uses —
+// milliseconds for any model size, with the page cache shared across
+// replicas. The returned model's Mapped field owns the mapping; on error
+// the mapping is released before returning.
 func ReadMapped(path string) (*Model, error) {
 	mp, err := openMapping(path)
 	if err != nil {
 		return nil, err
 	}
-	var fileVersion uint32
-	if len(mp.data) >= 8 {
-		fileVersion = uint32(mp.data[4]) | uint32(mp.data[5])<<8 | uint32(mp.data[6])<<16 | uint32(mp.data[7])<<24
-	}
-	if len(mp.data) >= 8 && [4]byte(mp.data[:4]) == Magic &&
-		(fileVersion == Version || fileVersion == VersionV4) {
-		m, err := parseAligned(mp.data)
-		if err != nil {
-			mp.Close()
-			return nil, err
-		}
-		m.Mapped = mp
-		return m, nil
-	}
-	defer mp.Close()
-	m, err := Read(bytes.NewReader(mp.data))
+	m, err := parseAligned(mp.data)
 	if err != nil {
+		mp.Close()
 		return nil, err
 	}
+	m.Mapped = mp
 	return m, nil
 }

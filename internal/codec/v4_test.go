@@ -2,10 +2,10 @@ package codec
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,73 +19,9 @@ func withQuant(m *Model) *Model {
 	return m
 }
 
-func eqF64Bits(t *testing.T, name string, a, b []float64) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s length %d vs %d", name, len(a), len(b))
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("%s not bit-identical at %d", name, i)
-		}
-	}
-}
-
-func eqModels(t *testing.T, got, want *Model) {
-	t.Helper()
-	if got.Lowercase != want.Lowercase || got.Assignments != want.Assignments ||
-		got.K != want.K || got.CoreDims != want.CoreDims ||
-		got.ModelVersion != want.ModelVersion || got.Fingerprint != want.Fingerprint ||
-		got.Sweeps != want.Sweeps {
-		t.Fatal("scalar sections changed across the v4 roundtrip")
-	}
-	for _, pair := range [][2][]string{{got.Users, want.Users}, {got.Tags, want.Tags}, {got.Resources, want.Resources}} {
-		if len(pair[0]) != len(pair[1]) {
-			t.Fatalf("vocabulary length %d vs %d", len(pair[0]), len(pair[1]))
-		}
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("vocabulary[%d]: %q vs %q", i, pair[0][i], pair[1][i])
-			}
-		}
-	}
-	eqF64Bits(t, "embedding", got.Embedding.Data(), want.Embedding.Data())
-	for i, c := range want.Assign {
-		if got.Assign[i] != c {
-			t.Fatalf("assign[%d] = %d, want %d", i, got.Assign[i], c)
-		}
-	}
-	if (got.Quant8 == nil) != (want.Quant8 == nil) || (got.Quant16 == nil) != (want.Quant16 == nil) {
-		t.Fatal("quantized sections lost or invented")
-	}
-	if want.Quant8 != nil {
-		if got.Quant8.Rows != want.Quant8.Rows || got.Quant8.Cols != want.Quant8.Cols {
-			t.Fatal("int8 shape changed")
-		}
-		eqF64Bits(t, "int8 scale", got.Quant8.Scale, want.Quant8.Scale)
-		eqF64Bits(t, "int8 zero", got.Quant8.Zero, want.Quant8.Zero)
-		for i, c := range want.Quant8.Codes {
-			if got.Quant8.Codes[i] != c {
-				t.Fatalf("int8 code %d changed", i)
-			}
-		}
-	}
-	if want.Quant16 != nil {
-		for i, b := range want.Quant16.Bits {
-			if got.Quant16.Bits[i] != b {
-				t.Fatalf("float16 bits %d changed", i)
-			}
-		}
-	}
-}
-
 func TestV4RoundtripQuantSections(t *testing.T) {
 	m := withQuant(withLifecycle(buildModel(t)))
-	got := roundtrip(t, m)
-	eqModels(t, got, m)
-	if got.Warm == nil {
-		t.Fatal("warm-start section lost in v4")
-	}
+	eqModels(t, roundtrip(t, m), m)
 }
 
 func TestV4RoundtripSingleQuantSection(t *testing.T) {
@@ -98,31 +34,34 @@ func TestV4RoundtripSingleQuantSection(t *testing.T) {
 	eqModels(t, roundtrip(t, m16), m16)
 }
 
-func writeTempModel(t *testing.T, m *Model, write func(*bytes.Buffer) error) string {
+// writeTempModel writes m to a model file and returns its path.
+func writeTempModel(t *testing.T, m *Model) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "model.clsi")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, written(t, m), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func TestReadMappedMatchesRead(t *testing.T) {
-	m := withQuant(withLifecycle(buildModel(t)))
-	path := writeTempModel(t, m, func(b *bytes.Buffer) error { return Write(b, m) })
-
-	mapped, err := ReadMapped(path)
+// readMapped writes m to a file and opens it with ReadMapped, checking
+// the model matches m and is a real mapping on Linux.
+func readMapped(t *testing.T, m *Model) *Model {
+	t.Helper()
+	mapped, err := ReadMapped(writeTempModel(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eqModels(t, mapped, m)
 	if runtime.GOOS == "linux" && (mapped.Mapped == nil || !mapped.Mapped.Mapped()) {
-		t.Fatal("v4 model on linux did not come back memory-mapped")
+		t.Fatal("model on linux did not come back memory-mapped")
 	}
+	return mapped
+}
+
+func TestReadMappedMatchesRead(t *testing.T) {
+	m := withQuant(withLifecycle(buildModel(t)))
+	mapped := readMapped(t, m)
 
 	// Vocabulary strings must survive the mapping's release: the parser
 	// copies the blob to the heap exactly so closed mappings can't leave
@@ -134,24 +73,9 @@ func TestReadMappedMatchesRead(t *testing.T) {
 	if err := mapped.Mapped.Close(); err != nil {
 		t.Fatal("second Close must be a no-op, got", err)
 	}
-	for i, want := range m.Tags {
-		if tags[i] != want {
-			t.Fatalf("tag %d corrupted after Close: %q", i, tags[i])
-		}
+	if !slices.Equal(tags, m.Tags) {
+		t.Fatalf("tags corrupted after Close: %q", tags)
 	}
-}
-
-func TestReadMappedAcceptsLegacyStreams(t *testing.T) {
-	m := withLifecycle(buildModel(t))
-	path := writeTempModel(t, m, func(b *bytes.Buffer) error { return WriteV3(b, m) }) //nolint:staticcheck // migration coverage
-	got, err := ReadMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mapped != nil {
-		t.Fatal("legacy stream must decode onto the heap, not hold a mapping")
-	}
-	eqF64Bits(t, "legacy embedding", got.Embedding.Data(), m.Embedding.Data())
 }
 
 func TestReadMappedMissingFile(t *testing.T) {
@@ -160,17 +84,14 @@ func TestReadMappedMissingFile(t *testing.T) {
 	}
 }
 
-func TestV4UnalignedBufferFallsBack(t *testing.T) {
-	// parseAligned runs over whatever buffer Read handed it; if the payloads
-	// land unaligned (holding a shifted copy) the element-wise fallback
-	// must produce the identical model.
-	m := withQuant(withLifecycle(buildModel(t)))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	shifted := make([]byte, buf.Len()+1)
-	copy(shifted[1:], buf.Bytes())
+// requireUnalignedFallback parses m's encoding from a buffer shifted
+// off 8-byte alignment, as Read may hand the parser: the element-wise
+// fallback must produce the identical model.
+func requireUnalignedFallback(t *testing.T, m *Model) {
+	t.Helper()
+	data := written(t, m)
+	shifted := make([]byte, len(data)+1)
+	copy(shifted[1:], data)
 	got, err := parseAligned(shifted[1:])
 	if err != nil {
 		t.Fatal(err)
@@ -178,28 +99,17 @@ func TestV4UnalignedBufferFallsBack(t *testing.T) {
 	eqModels(t, got, m)
 }
 
+func TestV4UnalignedBufferFallsBack(t *testing.T) {
+	requireUnalignedFallback(t, withQuant(withLifecycle(buildModel(t))))
+}
+
 func TestV4TruncatedFailsFast(t *testing.T) {
-	m := withQuant(withLifecycle(buildModel(t)))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, frac := range []int{1, 2, 3, 5, 10, 50} {
-		cut := full[:len(full)*frac/51]
-		if _, err := Read(bytes.NewReader(cut)); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", len(cut))
-		}
-	}
+	requireTruncationsFail(t, withQuant(withLifecycle(buildModel(t))))
 }
 
 func TestV4CorruptVocabOffsetsRejected(t *testing.T) {
 	m := withLifecycle(buildModel(t))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := written(t, m)
 	// The users vocabulary's offset table starts right after the fixed
 	// header (magic 4 + version 4 + flags 1 + lowercase 1 + assignments 8
 	// + count 8 + pad to 8 = offset 32). Make the first cumulative offset
@@ -207,32 +117,5 @@ func TestV4CorruptVocabOffsetsRejected(t *testing.T) {
 	b[32] = 0xff
 	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "vocabulary") {
 		t.Fatalf("err = %v, want vocabulary offset error", err)
-	}
-}
-
-func TestUpgradeOldFormatsToV4(t *testing.T) {
-	// The in-place upgrade path: load any vintage, write with Write,
-	// read back — rankings-relevant sections bit-identical throughout.
-	orig := withLifecycle(buildModel(t))
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return WriteV1(b, orig) },
-		"v2": func(b *bytes.Buffer) error { return WriteV2(b, orig) }, //nolint:staticcheck // migration coverage
-		"v3": func(b *bytes.Buffer) error { return WriteV3(b, orig) }, //nolint:staticcheck // migration coverage
-	} {
-		var old bytes.Buffer
-		if err := write(&old); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		loaded, err := Read(&old)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if loaded.Embedding == nil {
-			// v1 models upgrade by deriving the embedding before re-saving;
-			// the codec-level test just skips the dense-only shape.
-			continue
-		}
-		upgraded := roundtrip(t, loaded)
-		eqF64Bits(t, name+" embedding", upgraded.Embedding.Data(), loaded.Embedding.Data())
 	}
 }

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -23,97 +22,26 @@ func withUserFactors(m *Model) *Model {
 	return m
 }
 
-func eqUserFactors(t *testing.T, got, want *Model) {
-	t.Helper()
-	if (got.UserFactors == nil) != (want.UserFactors == nil) {
-		t.Fatalf("user-factor section lost or invented: got %v, want %v",
-			got.UserFactors != nil, want.UserFactors != nil)
-	}
-	if want.UserFactors == nil {
-		return
-	}
-	gr, gc := got.UserFactors.Dims()
-	wr, wc := want.UserFactors.Dims()
-	if gr != wr || gc != wc {
-		t.Fatalf("user-factor shape %d×%d, want %d×%d", gr, gc, wr, wc)
-	}
-	eqF64Bits(t, "user factors", got.UserFactors.Data(), want.UserFactors.Data())
-}
-
 func TestV5RoundtripUserFactors(t *testing.T) {
 	// The opt-in section alone, and stacked with both quantized views —
 	// it sits after them in the layout, so the combined variant covers
 	// the section ordering.
-	plain := withUserFactors(withLifecycle(buildModel(t)))
-	got := roundtrip(t, plain)
-	eqModels(t, got, plain)
-	eqUserFactors(t, got, plain)
-
-	stacked := withUserFactors(withQuant(withLifecycle(buildModel(t))))
-	got = roundtrip(t, stacked)
-	eqModels(t, got, stacked)
-	eqUserFactors(t, got, stacked)
-
 	// A model without the section round-trips without inventing one.
-	bare := withLifecycle(buildModel(t))
-	eqUserFactors(t, roundtrip(t, bare), bare)
+	for _, m := range []*Model{
+		withUserFactors(withLifecycle(buildModel(t))),
+		withUserFactors(withQuant(withLifecycle(buildModel(t)))),
+		withLifecycle(buildModel(t)),
+	} {
+		eqModels(t, roundtrip(t, m), m)
+	}
 }
 
 func TestReadMappedV5UserFactors(t *testing.T) {
-	m := withUserFactors(withQuant(withLifecycle(buildModel(t))))
-	path := writeTempModel(t, m, func(b *bytes.Buffer) error { return Write(b, m) })
-	mapped, err := ReadMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Mapped.Close()
-	if runtime.GOOS == "linux" && (mapped.Mapped == nil || !mapped.Mapped.Mapped()) {
-		t.Fatal("v5 model on linux did not come back memory-mapped")
-	}
-	eqModels(t, mapped, m)
-	eqUserFactors(t, mapped, m)
+	readMapped(t, withUserFactors(withQuant(withLifecycle(buildModel(t))))).Mapped.Close()
 }
 
 func TestV5UnalignedBufferFallsBack(t *testing.T) {
-	m := withUserFactors(withLifecycle(buildModel(t)))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	shifted := make([]byte, buf.Len()+1)
-	copy(shifted[1:], buf.Bytes())
-	got, err := parseAligned(shifted[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqUserFactors(t, got, m)
-}
-
-// TestWriteV4RejectsUserFactors pins the deprecated v4 writer's refusal:
-// a v4 stream has no room for the section, and dropping it silently
-// would ship an unpersonalized model under a personalized name.
-func TestWriteV4RejectsUserFactors(t *testing.T) {
-	m := withUserFactors(withLifecycle(buildModel(t)))
-	err := WriteV4(&bytes.Buffer{}, m) //nolint:staticcheck // deprecated writer under test
-	if err == nil {
-		t.Fatal("WriteV4 accepted a user-factor section")
-	}
-	if !strings.Contains(err.Error(), "user-factor") || !strings.Contains(err.Error(), "v4") {
-		t.Fatalf("error %q does not explain the v4 limitation", err)
-	}
-
-	// Without the section the deprecated writer still produces a readable
-	// v4 stream — the forward-compat escape hatch for old readers.
-	m.UserFactors = nil
-	var v4 bytes.Buffer
-	if err := WriteV4(&v4, m); err != nil { //nolint:staticcheck // deprecated writer under test
-		t.Fatal(err)
-	}
-	got, err := Read(&v4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqModels(t, got, m)
+	requireUnalignedFallback(t, withUserFactors(withLifecycle(buildModel(t))))
 }
 
 // TestV4StreamWithUserFlagRejected corrupts a v5 stream's version field
@@ -122,11 +50,7 @@ func TestWriteV4RejectsUserFactors(t *testing.T) {
 // misparse the trailing section.
 func TestV4StreamWithUserFlagRejected(t *testing.T) {
 	m := withUserFactors(withLifecycle(buildModel(t)))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := written(t, m)
 	binary.LittleEndian.PutUint32(b[4:8], VersionV4)
 	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "user-factor flag") {
 		t.Fatalf("err = %v, want user-factor flag rejection", err)
@@ -139,17 +63,13 @@ func TestV4StreamWithUserFlagRejected(t *testing.T) {
 // the operator knows to upgrade the reader rather than suspect the file.
 func TestUnsupportedVersionMessageListsKnown(t *testing.T) {
 	m := withLifecycle(buildModel(t))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := written(t, m)
 	binary.LittleEndian.PutUint32(b[4:8], Version+1)
 	_, err := Read(bytes.NewReader(b))
 	if err == nil {
 		t.Fatal("future version accepted")
 	}
-	if !strings.Contains(err.Error(), "unsupported model version 6") || !strings.Contains(err.Error(), "want 5, 4, 3, 2 or 1") {
+	if !strings.Contains(err.Error(), "unsupported model version 6") || !strings.Contains(err.Error(), "want 5 or 4") {
 		t.Fatalf("err = %v, want self-diagnosing version list", err)
 	}
 }
@@ -169,19 +89,9 @@ func TestUserFactorShapeValidated(t *testing.T) {
 // carrying every optional section, user factors included.
 func TestV5TruncatedFailsFast(t *testing.T) {
 	m := withUserFactors(withQuant(withLifecycle(buildModel(t))))
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, frac := range []int{1, 2, 3, 5, 10, 50} {
-		cut := full[:len(full)*frac/51]
-		if _, err := Read(bytes.NewReader(cut)); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", len(cut))
-		}
-	}
+	requireTruncationsFail(t, m)
 	// Cutting inside the trailing user-factor section specifically.
-	if _, err := Read(bytes.NewReader(full[:len(full)-8])); err == nil {
+	if full := written(t, m); !errRead(full[:len(full)-8]) {
 		t.Fatal("truncation inside the user-factor section accepted")
 	}
 }

@@ -48,7 +48,7 @@ func FromDecomposition(d *tucker.Decomposition) *TagEmbedding {
 }
 
 // FromMatrix wraps an already-scaled embedding matrix (rows = tags)
-// without copying, e.g. one decoded from a v2 model file.
+// without copying, e.g. one decoded from a model file.
 func FromMatrix(m *mat.Matrix) *TagEmbedding {
 	if m == nil {
 		panic("embed: nil embedding matrix")

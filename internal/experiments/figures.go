@@ -75,7 +75,7 @@ func (r *Figure4Result) Render() string {
 }
 
 // MeanNDCG returns a method's NDCG averaged over all cutoffs (used for
-// shape assertions in tests and EXPERIMENTS.md summaries).
+// the shape assertions of TestFigure4ShapeOnTiny).
 func (r *Figure4Result) MeanNDCG(method string) float64 {
 	vals := r.Curves[method]
 	if len(vals) == 0 {

@@ -55,9 +55,10 @@ type Setup struct {
 // with thousands of tags, retaining on the order of 60–150 factors per
 // mode; at reproduction scale the corpora are 10–20× smaller, so we
 // retain a comparable *factor count* rather than a comparable ratio
-// (J₂ ≈ 2.8 concepts per latent factor was selected by a sweep — see
-// EXPERIMENTS.md — and sits in the same smoothing regime as the paper's
-// choice: large enough to resolve concepts, small enough to denoise).
+// (J₂ ≈ 2.8 concepts per latent factor was selected by a sweep whose
+// record is not in the repository, and sits in the same smoothing regime
+// as the paper's choice: large enough to resolve concepts, small enough
+// to denoise; TestFigure4ShapeOnTiny checks the ordering it yields).
 func NewSetup(p datagen.Params) *Setup {
 	c := datagen.Generate(p)
 	st := c.Clean.Stats()
@@ -97,7 +98,8 @@ func clampInt(v, lo, hi int) int {
 // SpectralOpts returns the concept-distillation settings shared by every
 // concept-based ranker: stipulated K, Zelnik-Manor–Perona local scaling
 // and k-NN affinity sparsification (latent tag distances are locally
-// reliable but globally heteroscedastic; see EXPERIMENTS.md).
+// reliable but globally heteroscedastic; the measurement behind this is
+// not in the repository).
 func (s *Setup) SpectralOpts() cluster.SpectralOptions {
 	return cluster.SpectralOptions{K: s.K, Seed: s.Seed, LocalScaling: 7, KNN: 20}
 }

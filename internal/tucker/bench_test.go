@@ -30,8 +30,8 @@ func BenchmarkDecomposeSmall(b *testing.B) {
 }
 
 // BenchmarkDecomposeHOSVDInitAblation compares the two initialization
-// strategies DESIGN.md calls out: HOSVD of the raw unfoldings vs random
-// orthonormal starts.
+// strategies Options.SkipHOSVDInit selects between: HOSVD of the raw
+// unfoldings vs random orthonormal starts.
 func BenchmarkDecomposeHOSVDInitAblation(b *testing.B) {
 	f := benchTensor(80, 48, 60, 3000)
 	b.Run("hosvd-init", func(b *testing.B) {

@@ -1,6 +1,7 @@
 package cubelsi
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestConcurrentQueriesShareTheScratchPool(t *testing.T) {
 						return
 					}
 					for qi := range queries {
-						if !equalResults(got[qi], want[qi]) {
+						if !slices.Equal(got[qi], want[qi]) {
 							t.Errorf("goroutine %d engine %d batch query %d diverged from the serial answer", g, ei, qi)
 							return
 						}
@@ -71,7 +72,7 @@ func TestConcurrentQueriesShareTheScratchPool(t *testing.T) {
 					continue
 				}
 				for qi, q := range queries {
-					if !equalResults(e.Query(q), want[qi]) {
+					if !slices.Equal(e.Query(q), want[qi]) {
 						t.Errorf("goroutine %d engine %d query %d diverged from the serial answer", g, ei, qi)
 						return
 					}
@@ -80,18 +81,6 @@ func TestConcurrentQueriesShareTheScratchPool(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func equalResults(a, b []Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestQueryAllocationCeiling keeps the query path cheap: on the test

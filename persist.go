@@ -10,7 +10,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/quant"
 	"repro/internal/tagging"
-	"repro/internal/tucker"
 )
 
 // SaveOption configures Save.
@@ -74,13 +73,9 @@ func WithUserFactors() SaveOption {
 // engine has them, the mode-2/mode-3 warm-start factors (drop them with
 // WithoutWarmFactors), plus the opt-in sections — quantized embedding
 // views (WithInt8Embedding / WithFloat16Embedding) and the compacted
-// user-mode factors (WithUserFactors). Loading an older model and
-// saving it again upgrades the file in place; v1–v4 files remain
-// readable.
+// user-mode factors (WithUserFactors). Loading a v4 model and saving it
+// again upgrades the file in place.
 func (e *Engine) Save(w io.Writer, opts ...SaveOption) error {
-	if e.emb == nil {
-		return errors.New("cubelsi: model carries no tag embedding (legacy v1 file without a decomposition); rebuild it to save in the current format")
-	}
 	var settings saveSettings
 	for _, o := range opts {
 		o(&settings)
@@ -178,56 +173,34 @@ func engineFromModel(m *codec.Model, lazyVocab bool) (*Engine, error) {
 			return nil, fmt.Errorf("cubelsi: resource vocabulary: %w", err)
 		}
 	}
+	emb := embed.FromMatrix(m.Embedding)
 	st := Stats{
-		Users:       len(m.Users),
-		Tags:        len(m.Tags),
-		Resources:   len(m.Resources),
-		Assignments: m.Assignments,
-		Concepts:    m.K,
-		CoreDims:    m.CoreDims,
-		Fit:         m.Fit,
-		Sweeps:      m.Sweeps,
+		Users:        len(m.Users),
+		Tags:         len(m.Tags),
+		Resources:    len(m.Resources),
+		Assignments:  m.Assignments,
+		Concepts:     m.K,
+		CoreDims:     m.CoreDims,
+		Fit:          m.Fit,
+		Sweeps:       m.Sweeps,
+		EmbeddingDim: emb.Dim(),
 	}
-
-	// Tag semantics, newest representation first: a v2+ embedding as
-	// stored; a v1 file with a decomposition has its embedding derived
-	// (the in-place upgrade path); a v1 file without one falls back to
-	// serving from the dense matrix it shipped.
-	var emb *embed.TagEmbedding
-	var distances = m.Distances
-	switch {
-	case m.Embedding != nil:
-		emb = embed.FromMatrix(m.Embedding)
-	case m.Decomp != nil:
-		emb = embed.FromDecomposition(m.Decomp)
-		distances = nil
-	}
-	if emb != nil {
-		st.EmbeddingDim = emb.Dim()
-	}
-
-	// Lifecycle: pre-v3 files carry no version (normalize to 1) and no
-	// warm factors — except v1 files shipping a full decomposition,
-	// whose factors warm-start as well as freshly built ones.
+	// Save never writes version 0, but a file written straight through
+	// the codec may carry it; a loaded engine is at least version 1.
 	version := m.ModelVersion
 	if version == 0 {
 		version = 1
-	}
-	warm := m.Warm
-	if warm == nil && m.Decomp != nil {
-		warm = &tucker.WarmStart{Y2: m.Decomp.Y2, Y3: m.Decomp.Y3}
 	}
 
 	return &Engine{
 		lowercase:   m.Lowercase,
 		version:     version,
 		fingerprint: m.Fingerprint,
-		warm:        warm,
+		warm:        m.Warm,
 		users:       m.Users,
 		tags:        tags,
 		resources:   resources,
 		emb:         emb,
-		distances:   distances,
 		assign:      m.Assign,
 		k:           m.K,
 		index:       m.Index,
@@ -250,8 +223,7 @@ type loadSettings struct{ mapped bool }
 // size, its numeric sections alias the mapping (page cache shared
 // across replicas), and the engine's Close releases the mapping — the
 // caller owns calling it when the engine is retired; a finalizer
-// reclaims mappings of collected engines. Files in older formats are
-// decoded onto the heap as usual.
+// reclaims mappings of collected engines.
 func WithMapped() LoadOption {
 	return func(s *loadSettings) { s.mapped = true }
 }
@@ -267,7 +239,7 @@ func LoadFile(path string, opts ...LoadOption) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cubelsi: %w", err)
 		}
-		eng, err := engineFromModel(m, m.Mapped != nil)
+		eng, err := engineFromModel(m, true)
 		if err != nil {
 			m.Mapped.Close()
 			return nil, err

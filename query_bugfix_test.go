@@ -1,7 +1,6 @@
 package cubelsi
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -183,20 +182,13 @@ func TestSearchBatchRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestRelatedTagsClampParity table-tests the n-clamping contract on both
-// backends — the embedding top-k and the legacy dense-matrix fallback:
-// n ≤ 0 and n > |T|−1 both mean "every other tag", and in-range n means
-// exactly n, identically on the two paths.
+// TestRelatedTagsClampParity table-tests the n-clamping contract
+// against the reference scan over the exact pipeline's dense D̂: n ≤ 0
+// and n > |T|−1 both mean "every other tag", and in-range n means
+// exactly n, identically on the engine and the scan.
 func TestRelatedTagsClampParity(t *testing.T) {
 	fresh := buildCorpus(t)
-	v1Bytes, _, _ := buildV1Bytes(t, false)
-	legacy, err := Load(bytes.NewReader(v1Bytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.EmbeddingDim() != 0 {
-		t.Fatal("decomposition-free v1 model must fall back to the dense matrix")
-	}
+	scan := scanRelated(t, buildExactPipeline(t))
 
 	total := len(fresh.Tags()) - 1
 	cases := []struct {
@@ -212,32 +204,21 @@ func TestRelatedTagsClampParity(t *testing.T) {
 		{"overshoot", total + 1, total},
 		{"far-overshoot", total + 50, total},
 	}
-	backends := []struct {
-		name string
-		eng  *Engine
-	}{
-		{"embedding", fresh},
-		{"legacy-dense", legacy},
-	}
 	for _, tc := range cases {
-		for _, b := range backends {
-			rel, err := b.eng.RelatedTags("audio", tc.n)
-			if err != nil {
-				t.Fatalf("%s n=%d (%s): %v", b.name, tc.n, tc.name, err)
-			}
-			if len(rel) != tc.want {
-				t.Fatalf("%s n=%d (%s): got %d related tags, want %d",
-					b.name, tc.n, tc.name, len(rel), tc.want)
-			}
+		a, err := fresh.RelatedTags("audio", tc.n)
+		if err != nil {
+			t.Fatalf("n=%d (%s): %v", tc.n, tc.name, err)
 		}
-		// The two backends must return the same tags at the same
-		// distances (the dense matrix stores the same D̂ the embedding
-		// computes, up to float tolerance).
-		a, _ := fresh.RelatedTags("audio", tc.n)
-		b, _ := legacy.RelatedTags("audio", tc.n)
+		b := scan("audio", tc.n)
+		if len(a) != tc.want || len(b) != tc.want {
+			t.Fatalf("n=%d (%s): engine %d, scan %d related tags, want %d",
+				tc.n, tc.name, len(a), len(b), tc.want)
+		}
+		// The same tags at the same distances (the dense matrix holds the
+		// same D̂ the embedding computes, up to float tolerance).
 		for i := range a {
 			if a[i].Tag != b[i].Tag || math.Abs(a[i].Distance-b[i].Distance) > 1e-9 {
-				t.Fatalf("n=%d (%s) rank %d: embedding %+v vs legacy %+v", tc.n, tc.name, i, a[i], b[i])
+				t.Fatalf("n=%d (%s) rank %d: embedding %+v vs scan %+v", tc.n, tc.name, i, a[i], b[i])
 			}
 		}
 	}

@@ -179,6 +179,20 @@ if ! curl -sf "$R1/search?q=jazz" | grep -q '"results"'; then
 	exit 1
 fi
 
+# Spooled snapshots carry the user factors, so a replica personalizes
+# ?user= exactly as the writer does.
+if ! curl -s "$R1/stats" | grep -q '"user_factors":true'; then
+	echo "e2e-replicate: FAIL: replica 1 serves a model without user factors" >&2
+	exit 1
+fi
+WANT=$(curl -sf "$WRITER/search?q=jazz,folk&user=u4")
+GOT=$(curl -sf "$R1/search?q=jazz,folk&user=u4")
+if [ "$GOT" != "$WANT" ]; then
+	echo "e2e-replicate: FAIL: replica 1 answers ?user=u4 with $GOT, the writer with $WANT" >&2
+	exit 1
+fi
+echo "e2e-replicate: replica answers ?user= byte-identically to the writer"
+
 # Chaos: kill replica 2, publish past it, and assert the restarted
 # process converges from its startup sync / anti-entropy poll — the
 # lost notify must not strand it.

@@ -234,10 +234,11 @@ func prevStateFromPipeline(p *core.Pipeline) *core.PrevState {
 
 // prevStateFromEngine packages a built or loaded engine as warm state.
 // It errors when the engine cannot warm-start anything: engines
-// restored from pre-v3 model files carry no factor matrices.
+// restored from models saved WithoutWarmFactors carry no factor
+// matrices.
 func prevStateFromEngine(e *Engine) (*core.PrevState, error) {
-	if e.warm == nil || e.warm.Y2 == nil || e.warm.Y3 == nil || e.emb == nil {
-		return nil, errors.New("cubelsi: previous model carries no warm-start factors (saved before format v3?); rebuild it or drop WithPreviousModel")
+	if e.warm == nil || e.warm.Y2 == nil || e.warm.Y3 == nil {
+		return nil, errors.New("cubelsi: previous model carries no warm-start factors (saved WithoutWarmFactors?); rebuild it or drop WithPreviousModel")
 	}
 	return &core.PrevState{
 		TagNames:      e.tags.Names(),

@@ -413,23 +413,9 @@ func TestSaveWithoutWarmFactors(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRankings(t, leanEng, eng, "lean save")
-	if _, err := NewIndex(context.Background(), FromAssignments(corpus()),
-		WithConfig(testConfig()), WithPreviousModel(leanEng)); err == nil {
-		t.Fatal("lean model must not warm-start")
-	}
-}
-
-// TestWithPreviousModelRejectsFactorFreeEngines: a pre-v3 model without
-// factors cannot warm-start, and the error says so.
-func TestWithPreviousModelRejectsFactorFreeEngines(t *testing.T) {
-	v1Bytes, _, _ := buildV1Bytes(t, false) // v1 file without a decomposition
-	legacy, err := Load(bytes.NewReader(v1Bytes))
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, err = NewIndex(context.Background(), FromAssignments(corpus()),
-		WithConfig(testConfig()), WithPreviousModel(legacy))
+		WithConfig(testConfig()), WithPreviousModel(leanEng))
 	if err == nil || !strings.Contains(err.Error(), "warm-start") {
-		t.Fatalf("err = %v, want warm-start capability error", err)
+		t.Fatalf("err = %v, want the lean model's warm-start capability error", err)
 	}
 }
