@@ -3,7 +3,7 @@ GO ?= go
 # The tracked microbenchmarks: `make bench` measures them, `make
 # bench-once` (part of `make check` and the CI test job) runs each for a
 # single iteration so none can stop compiling or start failing unseen.
-BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|SearchConcept|EngineBuild|EngineSearch|SymMulT|MulTTiled|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore
+BENCH_REGEX = NearestK|Pairwise1k|QueryTop10|QueryFullSort|SearchPartialDepth|SearchConcept|EngineBuild|EngineSearch|SymMulT|MulTTiled|SubspaceIteration|OrthonormalizeCholQR|LeftSVD|UnfoldingGram|ProjectedUnfold|DecomposeSmall|SweepCost|SweepDeepCore|HOSVDInitWide
 BENCH_PKGS = ./internal/embed/ ./internal/ir/ ./internal/retrieve/ ./internal/mat/ ./internal/tensor/ ./internal/tucker/ .
 
 .PHONY: build test bench bench-once bench-check vet vet-custom check cross fmt fuzz lint e2e-replicate
@@ -29,11 +29,15 @@ vet-custom:
 check: vet-custom lint test bench-once bench-check cross
 
 # cross builds and vets for arm64, where internal/mat compiles its
-# portable tile leaf instead of the amd64 assembly (tile_other.go), so
-# the build-tagged file cannot rot on an amd64-only CI.
+# portable leaves instead of the amd64 assembly (leaf_other.go), so the
+# build-tagged files cannot rot on an amd64-only CI. The purego build tag
+# selects the same portable leaves on amd64, so the last step runs the
+# code arm64 runs against the pinned factor, model and answer hashes.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/mat
+	$(GO) vet -tags purego ./internal/mat
+	$(GO) test -tags purego -run 'Oracle|Golden|Parity|BitForBit' ./internal/tucker ./internal/core .
 
 bench-once:
 	$(GO) test -run='^$$' -bench='$(BENCH_REGEX)' -benchtime=1x $(BENCH_PKGS)
@@ -73,7 +77,8 @@ e2e-replicate:
 
 # fuzz exercises the trust-boundary fuzz targets briefly: the model
 # decoder, the POST /search body, the GET /search and /related query
-# strings, and the POST /stream NDJSON body. FuzzStreamPost caps input
+# strings, the POST /stream NDJSON body, and the headers and body of a
+# replica's model pull. FuzzStreamPost caps input
 # minimization at 5s: inputs grown from its 1 MiB seed otherwise spend
 # most of the 30s being minimized instead of fuzzed.
 fuzz:
@@ -81,6 +86,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchPost$$' -fuzztime=30s ./cmd/cubelsiserve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchGet$$' -fuzztime=30s ./cmd/cubelsiserve/
 	$(GO) test -run='^$$' -fuzz='^FuzzStreamPost$$' -fuzztime=30s -fuzzminimizetime=5s ./cmd/cubelsiserve/
+	$(GO) test -run='^$$' -fuzz='^FuzzPullHeaders$$' -fuzztime=30s ./internal/replicate/
 
 fmt:
 	gofmt -l -w .

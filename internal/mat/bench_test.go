@@ -43,10 +43,10 @@ func BenchmarkMulTTiled(b *testing.B) {
 	shapes := []struct {
 		name  string
 		madds int
-		tiled func(lf leaf, p *panels)
+		tiled func(lf Leaf, p *panels)
 		ref   func()
 	}{
-		{"apply", 340 * 340 * 38, func(lf leaf, p *panels) {
+		{"apply", 340 * 340 * 38, func(lf Leaf, p *panels) {
 			p.packRows(block)
 			tiledInto(lf, z, rowsOf(m), p, 1, false)
 		}, func() {
@@ -54,7 +54,7 @@ func BenchmarkMulTTiled(b *testing.B) {
 				dotRows(z.Row(i), m.Row(i), block, 0, block.rows, false)
 			}
 		}},
-		{"gram", 399 * 400 / 2 * 578, func(lf leaf, p *panels) {
+		{"gram", 399 * 400 / 2 * 578, func(lf Leaf, p *panels) {
 			p.packRows(unfolding)
 			tiledUpperInto(lf, g, rowsOf(unfolding), p, 1, false)
 		}, func() {
@@ -64,18 +64,18 @@ func BenchmarkMulTTiled(b *testing.B) {
 		}},
 	}
 	for _, s := range shapes {
-		for _, impl := range []string{"dotRows", leafPortable.String(), leafAVX2.String()} {
+		for _, impl := range []string{"dotRows", LeafPortable.String(), LeafAVX2.String()} {
 			b.Run(s.name+"/leaf="+impl, func(b *testing.B) {
 				var p panels
 				run := s.ref
 				switch impl {
-				case leafPortable.String():
-					run = func() { s.tiled(leafPortable, &p) }
-				case leafAVX2.String():
+				case LeafPortable.String():
+					run = func() { s.tiled(LeafPortable, &p) }
+				case LeafAVX2.String():
 					if !haveAVX2 {
 						b.Skip("CPU without AVX2")
 					}
-					run = func() { s.tiled(leafAVX2, &p) }
+					run = func() { s.tiled(LeafAVX2, &p) }
 				}
 				for range b.N {
 					run()
@@ -94,12 +94,24 @@ func BenchmarkQRFactor256x64(b *testing.B) {
 	}
 }
 
+// BenchmarkOrthonormalizeCholQR orthonormalizes a 1024×64 block: two
+// rounds of Cholesky-QR, each a Gram product and a forward substitution
+// of m·n²/2 multiply-adds, on each leaf; leaf=avx2 is skipped on a CPU
+// without AVX2.
 func BenchmarkOrthonormalizeCholQR(b *testing.B) {
-	x := benchMatrix(1024, 64, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		Orthonormalize(x.Clone())
+	const m, n = 1024, 64
+	x := benchMatrix(m, n, 5)
+	for _, lf := range []Leaf{LeafPortable, LeafAVX2} {
+		b.Run("leaf="+lf.String(), func(b *testing.B) {
+			if lf == LeafAVX2 && !haveAVX2 {
+				b.Skip("CPU without AVX2")
+			}
+			b.ReportAllocs()
+			for range b.N {
+				new(orthoScratch).orthonormalize(lf, x.Clone(), 0)
+			}
+			b.ReportMetric(2*m*n*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+		})
 	}
 }
 

@@ -126,14 +126,16 @@ type Operator interface {
 	ApplyBlock(q, z *Matrix, workers int)
 }
 
-// scratch returns *m if it already has the given shape and otherwise
-// replaces it with a new matrix of that shape. Operators keep their
-// per-apply temporaries this way: allocated on the first block of a
-// subspace iteration, reused by every later one.
+// scratch returns *m reshaped to rows × cols, replacing it with a new
+// matrix when its buffer is too small. Its elements are whatever the
+// last user left. Operators keep their per-apply temporaries this way:
+// allocated on the first block of a subspace iteration, reused by every
+// later one, and by the next iteration of a Workspace.
 func scratch(m **Matrix, rows, cols int) *Matrix {
-	if *m == nil || (*m).rows != rows || (*m).cols != cols {
+	if *m == nil || cap((*m).data) < rows*cols {
 		*m = New(rows, cols)
 	}
+	(*m).rows, (*m).cols, (*m).data = rows, cols, (*m).data[:rows*cols]
 	return *m
 }
 
@@ -200,6 +202,22 @@ type SubspaceOptions struct {
 // Laplacian-affinity operators, which are PSD or have known shifts
 // applied by the caller).
 func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
+	var s subspace
+	return s.iterate(op, k, opts)
+}
+
+// subspace holds what SubspaceIteration allocates: the two blocks that
+// trade places, the Ritz matrix and vectors, the packed right operands of
+// the Rayleigh–Ritz products, and the orthonormalization scratch. A
+// Workspace keeps one across iterations; every buffer is overwritten
+// before it is read.
+type subspace struct {
+	q, z, h, vecs, avecs *Matrix
+	zp, vp               panels
+	ortho                orthoScratch
+}
+
+func (s *subspace) iterate(op Operator, k int, opts SubspaceOptions) *Eigen {
 	n := op.Dim()
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("mat: SubspaceIteration k=%d out of range for n=%d", k, n))
@@ -220,21 +238,18 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 	}
 	workers := opts.Workers
 
-	// Everything the iteration needs is allocated here or on the first
-	// round, once: the two blocks that trade places, the Ritz matrix and
-	// vectors, the packed right operands of the Rayleigh–Ritz products,
-	// and the orthonormalization scratch.
-	q, z := New(n, b), New(n, b)
-	h := New(b, b)
-	vecs, avecs := New(n, b), New(n, b)
-	var zp, vp panels
-	var ortho orthoScratch
+	// Everything the iteration needs is taken from s here or on the
+	// first round, once.
+	q, z := scratch(&s.q, n, b), scratch(&s.z, n, b)
+	h := scratch(&s.h, b, b)
+	vecs, avecs := scratch(&s.vecs, n, b), scratch(&s.avecs, n, b)
+	zp, vp, ortho := &s.zp, &s.vp, &s.ortho
 
 	rng := newSplitMix(opts.Seed ^ 0x9e3779b97f4a7c15)
 	for i := range q.data {
 		q.data[i] = rng.normFloat()
 	}
-	ortho.orthonormalize(q, workers)
+	ortho.orthonormalize(nativeLeaf, q, workers)
 
 	var ritz *Eigen
 	// Between Rayleigh–Ritz extractions (which cost a dense b×b
@@ -246,14 +261,14 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 			op.ApplyBlock(q, z, workers)
 			applied++
 			q, z = z, q
-			ortho.orthonormalize(q, workers)
+			ortho.orthonormalize(nativeLeaf, q, workers)
 		}
 		op.ApplyBlock(q, z, workers)
 		applied++
 		// H = QᵀZ is symmetric since A is; symmetrize against rounding.
 		// Its elements are inner products of columns of q and z.
 		zp.packCols(z)
-		tiledInto(nativeLeaf, h, colsOf(q), &zp, workers, true)
+		tiledInto(nativeLeaf, h, colsOf(q), zp, workers, true)
 		for i := range b {
 			for j := i + 1; j < b; j++ {
 				v := 0.5 * (h.data[i*b+j] + h.data[j*b+i])
@@ -267,8 +282,8 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 		ritz = symEigAuto(h)
 		// Ritz vectors in original coordinates and their images under A.
 		vp.packCols(ritz.Vectors)
-		tiledInto(nativeLeaf, vecs, rowsOf(q), &vp, workers, true)
-		tiledInto(nativeLeaf, avecs, rowsOf(z), &vp, workers, true)
+		tiledInto(nativeLeaf, vecs, rowsOf(q), vp, workers, true)
+		tiledInto(nativeLeaf, avecs, rowsOf(z), vp, workers, true)
 
 		// Residual-based convergence on the top-k pairs:
 		// ||A·v − λ·v|| ≤ tol·|λmax| for every wanted pair.
@@ -291,7 +306,7 @@ func SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
 		}
 		// Advance the block: Q ← orth(A·Q rotated onto Ritz directions).
 		copy(q.data, avecs.data)
-		ortho.orthonormalize(q, workers)
+		ortho.orthonormalize(nativeLeaf, q, workers)
 	}
 
 	return &Eigen{Values: ritz.Values[:k:k], Vectors: vecs.SubMatrix(0, n, 0, k)}

@@ -157,10 +157,12 @@ func TestOrthonormalizeMatchesReference(t *testing.T) {
 			clear(a.data)
 		}
 		want := refOrthonormalize(a.Clone(), 1)
-		var scratch orthoScratch // reused across worker counts, as SubspaceIteration reuses it
-		for _, workers := range kernelWorkers {
-			got := scratch.orthonormalize(a.Clone(), workers)
-			requireSameBits(t, fmt.Sprintf("%d×%d %s workers=%d", s.m, s.n, s.kind, workers), got, want)
+		var scratch orthoScratch // reused across leaves and worker counts, as SubspaceIteration reuses it
+		for _, lf := range Leaves() {
+			for _, workers := range kernelWorkers {
+				got := scratch.orthonormalize(lf, a.Clone(), workers)
+				requireSameBits(t, fmt.Sprintf("%d×%d %s leaf=%s workers=%d", s.m, s.n, s.kind, lf, workers), got, want)
+			}
 		}
 	}
 }

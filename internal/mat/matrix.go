@@ -16,13 +16,17 @@
 // of vectors at once (ApplyBlock). The dense products a·bᵀ and a·aᵀ run
 // through one register-tiled kernel (tile.go): b is packed into panels of
 // eight rows, and a leaf computes a 4×8 tile of the output per pass, each
-// of its 32 sums an independent accumulator. On amd64 with AVX2 the leaf
-// is assembly (tile_amd64.s) whose vector lanes are different output
-// elements, multiplied with VMULPD and added with VADDPD, never fused;
-// elsewhere a Go leaf with explicitly rounded products computes the same
-// bits. The results carry the bits of the one-element-at-a-time code they
-// replaced, which reference_test.go keeps and kernels_test.go compares
-// against, and the same bits on every worker count.
+// of its 32 sums an independent accumulator. The sparse row kernels of
+// the tensor package (sparse.go) and the forward substitution of
+// Cholesky-QR (qr.go) have leaves too. On amd64 with AVX2 each leaf is
+// assembly (the *_amd64.s files) whose vector lanes are different output
+// elements, multiplied with VMULPD and added, subtracted or divided with
+// VADDPD, VSUBPD or VDIVPD, never fused; elsewhere, and under the purego
+// build tag, a Go leaf with explicitly rounded products computes the same
+// bits (Leaf). The results carry the bits of the one-element-at-a-time
+// code they replaced, which reference_test.go keeps and kernels_test.go
+// and leaves_test.go compare against, and the same bits on every worker
+// count. A Workspace keeps the temporaries of a run of leading-left SVDs.
 package mat
 
 import (

@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // QR holds a Householder QR factorization A = Q·R with Q m×n (thin,
@@ -99,7 +100,7 @@ func Orthonormalize(a *Matrix) *Matrix { return orthonormalizeW(a, 0) }
 // the Gram–Schmidt fallback is serial.
 func orthonormalizeW(a *Matrix, workers int) *Matrix {
 	var s orthoScratch
-	return s.orthonormalize(a, workers)
+	return s.orthonormalize(nativeLeaf, a, workers)
 }
 
 // cholQRMinWork is the m·n² from which orthonormalization tries
@@ -109,22 +110,26 @@ func orthonormalizeW(a *Matrix, workers int) *Matrix {
 const cholQRMinWork = 1 << 18
 
 // orthoScratch holds the temporaries of orthonormalizeW — the packed
-// columns, the Gram matrix and the Cholesky factor of Cholesky-QR, and
-// the transposed block Gram–Schmidt works on — so a caller that
-// orthonormalizes same-shaped blocks in a loop allocates them once. The
-// zero value is ready to use.
+// columns, the Gram matrix, the Cholesky factor and the substitution's
+// interleave buffers of Cholesky-QR, and the transposed block
+// Gram–Schmidt works on — so a caller that orthonormalizes blocks in a
+// loop allocates them once. The zero value is ready to use.
 type orthoScratch struct {
 	g, rt, cols *Matrix
 	p           panels
+	ileave      []float64
+	slots       atomic.Int32 // the next free interleave buffer
 }
 
-func (s *orthoScratch) orthonormalize(a *Matrix, workers int) *Matrix {
+// orthonormalize is orthonormalizeW with its temporaries in s and its
+// Cholesky-QR products on leaf lf.
+func (s *orthoScratch) orthonormalize(lf Leaf, a *Matrix, workers int) *Matrix {
 	m, n := a.Dims()
 	if m < n {
 		panic(fmt.Sprintf("mat: Orthonormalize requires rows ≥ cols, got %d×%d", m, n))
 	}
 	if m*n*n >= cholQRMinWork {
-		if s.cholQR(a, workers) && s.cholQR(a, workers) {
+		if s.cholQR(lf, a, workers) && s.cholQR(lf, a, workers) {
 			return a
 		}
 	}
@@ -174,13 +179,13 @@ func (s *orthoScratch) orthonormalize(a *Matrix, workers int) *Matrix {
 // cholQR performs one round of Cholesky-QR in place: G = AᵀA = RᵀR,
 // A ← A·R⁻¹. Returns false (leaving a untouched) when the Gram matrix is
 // not safely positive definite; callers fall back to Gram–Schmidt.
-func (s *orthoScratch) cholQR(a *Matrix, workers int) bool {
-	m, n := a.Dims()
+func (s *orthoScratch) cholQR(lf Leaf, a *Matrix, workers int) bool {
+	n := a.Cols()
 	// Only the upper triangle of G is read below. Its elements are inner
 	// products of columns of a.
 	s.p.packCols(a)
 	g := scratch(&s.g, n, n)
-	tiledUpperInto(nativeLeaf, g, colsOf(a), &s.p, workers, true)
+	tiledUpperInto(lf, g, colsOf(a), &s.p, workers, true)
 	// Cholesky G = RᵀR, row j of R at a time, written as column j of the
 	// lower-triangular Rᵀ: both inner products then run along rows of Rᵀ
 	// instead of down columns of R.
@@ -206,42 +211,84 @@ func (s *orthoScratch) cholQR(a *Matrix, workers int) bool {
 			rt.data[c*n+j] = v / rjj
 		}
 	}
-	// A ← A·R⁻¹ by forward substitution per row, in place — entry j of
-	// the solution needs entry j of the row and the solution before j —
-	// and parallel across rows. Four rows share each pass over Rᵀ: each
-	// entry is a chain of dependent subtractions, and four independent
-	// chains keep the subtractor busy while one waits.
+	s.substitute(lf, a, rt.data, workers)
+	return true
+}
+
+// substituteRows is how many rows the AVX2 substitution leaf takes at
+// once, and maxInterleave the widest block it takes them from: sixteen
+// interleaved rows of 256 elements fill 32 KiB, an L1 data cache.
+const (
+	substituteRows = 16
+	maxInterleave  = 256
+)
+
+// substitute sets every row x of a to x·R⁻¹, R the upper triangle whose
+// transpose is the n×n rt, by forward substitution in place — entry j of
+// the solution needs entry j of the row and the solution before j — and
+// parallel across rows. Through the AVX2 leaf, sixteen rows at a time
+// are interleaved k-major into a per-worker buffer of s and solved
+// together; rows left over, and blocks wider than maxInterleave, take the
+// portable leaf. Both keep every entry's chain of subtractions in order.
+func (s *orthoScratch) substitute(lf Leaf, a *Matrix, rt []float64, workers int) {
+	m, n := a.Dims()
+	if n == 0 {
+		return
+	}
+	interleave := lf == LeafAVX2 && n <= maxInterleave
+	size := substituteRows * n
+	if need := Workers(workers) * size; interleave && cap(s.ileave) < need {
+		s.ileave = make([]float64, need)
+	}
+	s.slots.Store(0)
 	parallelForW(m, m*n*n/2, workers, func(lo, hi int) {
 		i := lo
-		for ; i+4 <= hi; i += 4 {
-			rows := a.data[i*n : (i+4)*n]
-			x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
-			for j := range n {
-				rj := rt.data[j*n : j*n+j+1]
-				v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
-				for k, r := range rj[:j] {
-					v0 -= x0[k] * r
-					v1 -= x1[k] * r
-					v2 -= x2[k] * r
-					v3 -= x3[k] * r
-				}
-				rjj := rj[j]
-				x0[j], x1[j], x2[j], x3[j] = v0/rjj, v1/rjj, v2/rjj, v3/rjj
+		if interleave {
+			slot := int(s.slots.Add(1) - 1)
+			buf := s.ileave[slot*size : (slot+1)*size]
+			for ; i+substituteRows <= hi; i += substituteRows {
+				substitute16AVX2(a.data[i*n:(i+substituteRows)*n], buf, rt, n)
 			}
 		}
-		for ; i < hi; i++ {
-			x := a.data[i*n : (i+1)*n]
-			for j := range n {
-				rj := rt.data[j*n : j*n+j+1]
-				v := x[j]
-				for k, r := range rj[:j] {
-					v -= x[k] * r
-				}
-				x[j] = v / rj[j]
-			}
-		}
+		substitutePortable(a.data[i*n:hi*n], rt, n)
 	})
-	return true
+}
+
+// substitutePortable is the Go leaf of substitute over the rows of x,
+// each n wide. Four rows share each pass over Rᵀ: each entry is a chain
+// of dependent subtractions, and four independent chains keep the
+// subtractor busy while one waits. The explicit float64 conversions round
+// each product before it is subtracted, so a compiler that may fuse
+// x*y − z does not.
+func substitutePortable(x, rt []float64, n int) {
+	i := 0
+	for ; (i+4)*n <= len(x); i += 4 {
+		rows := x[i*n : (i+4)*n]
+		x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
+		for j := range n {
+			rj := rt[j*n : j*n+j+1]
+			v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
+			for k, r := range rj[:j] {
+				v0 -= float64(x0[k] * r)
+				v1 -= float64(x1[k] * r)
+				v2 -= float64(x2[k] * r)
+				v3 -= float64(x3[k] * r)
+			}
+			rjj := rj[j]
+			x0[j], x1[j], x2[j], x3[j] = v0/rjj, v1/rjj, v2/rjj, v3/rjj
+		}
+	}
+	for ; (i+1)*n <= len(x); i++ {
+		row := x[i*n : (i+1)*n]
+		for j := range n {
+			rj := rt[j*n : j*n+j+1]
+			v := row[j]
+			for k, r := range rj[:j] {
+				v -= float64(row[k] * r)
+			}
+			row[j] = v / rj[j]
+		}
+	}
 }
 
 // IsOrthonormal reports whether the columns of a are orthonormal within tol.

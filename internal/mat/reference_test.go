@@ -704,3 +704,110 @@ func (o refGramTOperator) Apply(x, y []float64) {
 	r := o.w.TMulVec(t)
 	copy(y, r)
 }
+
+// refSparseRows, refAccumOuter4 (with refAccumOuter) and refSubstitute
+// are the loops the sparse row leaves and the substitution leaf
+// replaced: the tensor package's compressed-row multiply and four-entry
+// projected-unfolding update, and Cholesky-QR's four-row forward
+// substitution. leaves_test.go holds both leaves of each to their bits.
+
+// refSparseRows is grouped.multiply's row loop over the rows of starts:
+// row r of out becomes 0 + v₀·in[s₀] + v₁·in[s₁] + … over its entries.
+func refSparseRows(out []float64, outStride, w int, starts []int, src []int32, val []float64, in []float64, inStride int) {
+	row := func(r int) []float64 { return in[r*inStride:][:w] }
+	for r := 0; r+1 < len(starts); r++ {
+		dst := out[r*outStride:][:w]
+		clear(dst)
+		n, end := starts[r], starts[r+1]
+		// Two entries per pass over dst; d + v₀x₀ + v₁x₁ is evaluated
+		// left to right, the order two passes would add in.
+		for ; n+2 <= end; n += 2 {
+			v0, v1 := val[n], val[n+1]
+			x0, x1 := row(int(src[n]))[:len(dst)], row(int(src[n+1]))[:len(dst)]
+			for j, d := range dst {
+				dst[j] = d + v0*x0[j] + v1*x1[j]
+			}
+		}
+		if n < end {
+			v, x := val[n], row(int(src[n]))[:len(dst)]
+			for j := range dst {
+				dst[j] += v * x[j]
+			}
+		}
+	}
+}
+
+// refAccumOuter adds v · (ra ⊗ rb) to the flattened row dst, where
+// dst[a*len(rb)+b] += v·ra[a]·rb[b].
+func refAccumOuter(dst []float64, v float64, ra, rb []float64) {
+	for a, va := range ra {
+		s := v * va
+		if s == 0 {
+			continue
+		}
+		seg := dst[a*len(rb) : (a+1)*len(rb)]
+		for b, vb := range rb {
+			seg[b] += s * vb
+		}
+	}
+}
+
+// refAccumOuter4 adds four terms to dst in one pass, leaving in every
+// element the bits four refAccumOuter calls in the same order would: the
+// sum d + s₀b₀ + s₁b₁ + s₂b₂ + s₃b₃ is evaluated left to right, and a
+// segment in which some scale sᵢ is zero — which refAccumOuter skips —
+// is handed back to it term by term.
+func refAccumOuter4(dst []float64, t [4]OuterTerm) {
+	nb := len(t[0].B)
+	rb0, rb1, rb2, rb3 := t[0].B, t[1].B[:nb], t[2].B[:nb], t[3].B[:nb]
+	for a := range t[0].A {
+		s0, s1, s2, s3 := t[0].V*t[0].A[a], t[1].V*t[1].A[a], t[2].V*t[2].A[a], t[3].V*t[3].A[a]
+		seg := dst[a*nb : (a+1)*nb]
+		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
+			for _, x := range t {
+				refAccumOuter(seg, x.V, x.A[a:a+1], x.B)
+			}
+			continue
+		}
+		for b, d := range seg {
+			seg[b] = d + s0*rb0[b] + s1*rb1[b] + s2*rb2[b] + s3*rb3[b]
+		}
+	}
+}
+
+// refSubstitute is cholQR's substitution: A ← A·R⁻¹ by forward
+// substitution per row, in place, with rt the n×n lower-triangular Rᵀ,
+// parallel across rows; four rows share each pass over Rᵀ.
+func refSubstitute(a *Matrix, rt []float64, workers int) {
+	m, n := a.Dims()
+	parallelForW(m, m*n*n/2, workers, func(lo, hi int) {
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			rows := a.data[i*n : (i+4)*n]
+			x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
+			for j := range n {
+				rj := rt[j*n : j*n+j+1]
+				v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
+				for k, r := range rj[:j] {
+					v0 -= x0[k] * r
+					v1 -= x1[k] * r
+					v2 -= x2[k] * r
+					v3 -= x3[k] * r
+				}
+				rjj := rj[j]
+				x0[j], x1[j], x2[j], x3[j] = v0/rjj, v1/rjj, v2/rjj, v3/rjj
+			}
+		}
+		for ; i < hi; i++ {
+			x := a.data[i*n : (i+1)*n]
+			for j := range n {
+				rj := rt[j*n : j*n+j+1]
+				v := x[j]
+				for k, r := range rj[:j] {
+					v -= x[k] * r
+				}
+				x[j] = v / rj[j]
+			}
+		}
+	})
+}

@@ -106,6 +106,12 @@ func symEigAuto(a *Matrix) *Eigen {
 // rectangular matrices where only a low-rank factor is needed (LSI,
 // HOSVD initialization, HOOI sweeps).
 func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
+	var ws Workspace
+	return ws.truncatedSVD(a, k, opts)
+}
+
+// truncatedSVD is TruncatedSVD with the iteration's temporaries in ws.
+func (ws *Workspace) truncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 	m, n := a.Dims()
 	minDim := m
 	if n < minDim {
@@ -116,7 +122,8 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 	}
 	if m <= n {
 		// Left side is smaller: iterate on AAᵀ.
-		eig := SubspaceIteration(&GramOperator{W: a}, k, opts)
+		ws.gramOp.W = a
+		eig := ws.sub.iterate(&ws.gramOp, k, opts)
 		s := make([]float64, k)
 		u := eig.Vectors
 		for j := range k {
@@ -137,7 +144,8 @@ func TruncatedSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		return &SVD{U: u, S: s, V: v}
 	}
 	// Right side is smaller: iterate on AᵀA.
-	eig := SubspaceIteration(&gramTOperator{w: a}, k, opts)
+	ws.gramTOp.w = a
+	eig := ws.sub.iterate(&ws.gramTOp, k, opts)
 	s := make([]float64, k)
 	v := eig.Vectors
 	for j := range k {
@@ -169,21 +177,13 @@ func SymMulT(a *Matrix) *Matrix { return symMulTW(a, 0) }
 func symMulTW(a *Matrix, workers int) *Matrix {
 	var p panels
 	p.packRows(a)
-	return gramW(rowsOf(a), &p, workers)
+	return gramInto(New(a.rows, a.rows), rowsOf(a), &p, workers)
 }
 
-// symTMulW returns aᵀ·a as symMulTW(aᵀ) does, reading the columns of a
-// in place of the rows of a transpose.
-func symTMulW(a *Matrix, workers int) *Matrix {
-	var p panels
-	p.packCols(a)
-	return gramW(colsOf(a), &p, workers)
-}
-
-// gramW returns the Gram matrix of the rows of a, packed as p.
-func gramW(a lhs, p *panels, workers int) *Matrix {
+// gramInto overwrites g with the Gram matrix of the rows of a, packed as
+// p, and returns it.
+func gramInto(g *Matrix, a lhs, p *panels, workers int) *Matrix {
 	m := a.rows
-	g := New(m, m)
 	tiledUpperInto(nativeLeaf, g, a, p, workers, false)
 	// Mirror the lower triangle.
 	for i := range m {
@@ -194,12 +194,42 @@ func gramW(a lhs, p *panels, workers int) *Matrix {
 	return g
 }
 
+// Workspace keeps the temporaries of a run of leading-left SVDs and
+// subspace iterations, such as the sweeps of a Tucker decomposition
+// make: the explicit Gram matrix and the packed operands of the Gram and
+// recovery products, the operators, and the blocks of subspace
+// iteration with their orthonormalization scratch. Each is allocated at
+// the largest shape asked for and reused after, so a decomposition's
+// 36 leading-left SVDs allocate them about once. The zero value is ready
+// to use. A Workspace is not safe for concurrent use, and nothing its
+// methods return aliases it.
+type Workspace struct {
+	gram    *Matrix
+	p       panels
+	op      MatrixOperator
+	gramOp  GramOperator
+	gramTOp gramTOperator
+	sub     subspace
+}
+
+// SubspaceIteration is the package-level SubspaceIteration with its
+// temporaries in ws.
+func (ws *Workspace) SubspaceIteration(op Operator, k int, opts SubspaceOptions) *Eigen {
+	return ws.sub.iterate(op, k, opts)
+}
+
 // LeftSVD computes only the k leading left singular vectors and singular
 // values of a — the piece HOOI sweeps need. For matrices whose smaller
 // side is moderate it eigendecomposes the explicit Gram matrix (never
 // recovering the right singular vectors); otherwise it falls back to
 // subspace iteration.
 func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
+	var ws Workspace
+	return ws.LeftSVD(a, k, opts)
+}
+
+// LeftSVD is the package-level LeftSVD with its temporaries in ws.
+func (ws *Workspace) LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 	m, n := a.Dims()
 	minDim := m
 	if n < minDim {
@@ -214,7 +244,9 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		// Eigendecompose AAᵀ (m×m): eigenvectors are exactly U. Full
 		// decomposition when most of the spectrum is wanted, top-k
 		// subspace iteration on the explicit Gram otherwise.
-		eig := gramEig(symMulTW(a, opts.Workers), k, opts)
+		ws.p.packRows(a)
+		g := gramInto(scratch(&ws.gram, m, m), rowsOf(a), &ws.p, opts.Workers)
+		eig := ws.gramEig(g, k, opts)
 		s := make([]float64, k)
 		u := New(m, k)
 		for j := range k {
@@ -228,7 +260,9 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		return &SVD{U: u, S: s}
 	case n < m && n <= gramLimit:
 		// Eigendecompose AᵀA (n×n), recover only the k needed U columns.
-		eig := gramEig(symTMulW(a, opts.Workers), k, opts)
+		ws.p.packCols(a)
+		g := gramInto(scratch(&ws.gram, n, n), colsOf(a), &ws.p, opts.Workers)
+		eig := ws.gramEig(g, k, opts)
 		s := make([]float64, k)
 		vk := New(n, k)
 		for j := range k {
@@ -239,7 +273,10 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 			s[j] = math.Sqrt(ev)
 			vk.SetCol(j, eig.Vectors.Col(j))
 		}
-		u := mulW(a, vk, opts.Workers)
+		// U = A·Vₖ, with the columns of Vₖ packed as the right operand.
+		u := New(m, k)
+		ws.p.packCols(vk)
+		tiledInto(nativeLeaf, u, rowsOf(a), &ws.p, opts.Workers, true)
 		for j := range k {
 			if s[j] > svdRankTol(s[0], m, n) {
 				for i := range m {
@@ -253,7 +290,7 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 		}
 		return &SVD{U: u, S: s}
 	default:
-		t := TruncatedSVD(a, k, opts)
+		t := ws.truncatedSVD(a, k, opts)
 		return &SVD{U: t.U, S: t.S}
 	}
 }
@@ -261,12 +298,13 @@ func LeftSVD(a *Matrix, k int, opts SubspaceOptions) *SVD {
 // gramEig extracts the k leading eigenpairs of a symmetric PSD Gram
 // matrix, choosing between a full dense decomposition (small matrices or
 // nearly-full spectra) and subspace iteration.
-func gramEig(g *Matrix, k int, opts SubspaceOptions) *Eigen {
+func (ws *Workspace) gramEig(g *Matrix, k int, opts SubspaceOptions) *Eigen {
 	n := g.Rows()
 	if n <= 96 || k*3 >= n {
 		return symEigAuto(g)
 	}
-	return SubspaceIteration(&MatrixOperator{M: g}, k, opts)
+	ws.op.M = g
+	return ws.sub.iterate(&ws.op, k, opts)
 }
 
 // gramTOperator represents WᵀW as an operator.

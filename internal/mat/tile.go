@@ -18,29 +18,13 @@ const (
 	tileCols = 8
 )
 
-// leaf names a tile implementation. Both compute the same bits; the
-// products use nativeLeaf, chosen once from the CPU the process runs on.
-type leaf uint8
-
-const (
-	leafPortable leaf = iota // Go, on every platform
-	leafAVX2                 // tile_amd64.s, unfused VMULPD + VADDPD
-)
-
-var nativeLeaf = func() leaf {
-	if haveAVX2 {
-		return leafAVX2
-	}
-	return leafPortable
-}()
-
 // tile sets out[8r+j] to the inner product of a[r] (strided by ks) with
 // column j of panel — panel[8k+j] is the k-th element of panel row j —
 // for r < 4 and j < 8. With skipZero the terms whose left factor is zero
 // are left out, as the matrix products leave them out; only the portable
 // leaf has that form.
-func (l leaf) tile(a *[tileRows][]float64, ks int, panel []float64, out *[tileRows * tileCols]float64, skipZero bool) {
-	if l == leafAVX2 && !skipZero {
+func (l Leaf) tile(a *[tileRows][]float64, ks int, panel []float64, out *[tileRows * tileCols]float64, skipZero bool) {
+	if l == LeafAVX2 && !skipZero {
 		tileAVX2(a, ks, panel, out)
 		return
 	}
@@ -217,7 +201,7 @@ func (p *panels) panel(q int) []float64 {
 // element, or with skipZero the sum without the terms whose left factor
 // is zero. Workers own disjoint groups of four output rows, so the result
 // is bit-identical for every worker count.
-func tiledInto(lf leaf, c *Matrix, a lhs, b *panels, workers int, skipZero bool) {
+func tiledInto(lf Leaf, c *Matrix, a lhs, b *panels, workers int, skipZero bool) {
 	if c.rows != a.rows || c.cols != b.rows || a.k != b.k {
 		panic("mat: tiled product shape mismatch")
 	}
@@ -247,7 +231,7 @@ func tiledInto(lf leaf, c *Matrix, a lhs, b *panels, workers int, skipZero bool)
 // tiledUpperInto overwrites the upper triangle of g — the elements on
 // and above the diagonal, and no others — with that of a·bᵀ, where b is
 // a packed (the Gram matrix of a's rows). Elements as tiledInto's.
-func tiledUpperInto(lf leaf, g *Matrix, a lhs, b *panels, maxWorkers int, skipZero bool) {
+func tiledUpperInto(lf Leaf, g *Matrix, a lhs, b *panels, maxWorkers int, skipZero bool) {
 	m := a.rows
 	if g.rows != m || g.cols != m || b.rows != m || a.k != b.k {
 		panic("mat: tiled Gram shape mismatch")

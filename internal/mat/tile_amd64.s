@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

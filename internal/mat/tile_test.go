@@ -2,28 +2,15 @@ package mat
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
-
-// leaves returns every leaf this CPU can run: the portable one always,
-// the AVX2 one where the process would pick it.
-func leaves() []leaf {
-	if haveAVX2 {
-		return []leaf{leafPortable, leafAVX2}
-	}
-	return []leaf{leafPortable}
-}
-
-func (l leaf) String() string {
-	if l == leafAVX2 {
-		return "avx2"
-	}
-	return "portable"
-}
 
 // TestTiledProductsMatchReference calls each leaf explicitly, through
 // both left-operand views and both packings, and holds every product to
@@ -94,7 +81,7 @@ func TestTiledProductsMatchReference(t *testing.T) {
 			byRows.packRows(b)
 			byCols.packCols(bt)
 			gram.packRows(a)
-			for _, lf := range leaves() {
+			for _, lf := range Leaves() {
 				for _, workers := range []int{0, 1, 3} {
 					label := fmt.Sprintf("%d×%d·(%d×%d)ᵀ %s leaf=%s workers=%d", rows, inner, cols, inner, v.name, lf, workers)
 					for _, op := range []struct {
@@ -122,14 +109,45 @@ func TestTiledProductsMatchReference(t *testing.T) {
 }
 
 // TestAVX2LeafIsUnfused is the tripwire behind "no fused multiply-add":
-// the amd64 leaf must multiply and add in separate rounded steps, so no
-// fused mnemonic may appear in its source.
+// every assembly leaf must multiply and add in separate rounded steps,
+// so no fused mnemonic may appear in any assembly file of the module.
 func TestAVX2LeafIsUnfused(t *testing.T) {
-	src, err := os.ReadFile("tile_amd64.s")
+	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := regexp.MustCompile(`(?i)\bV(FMADD|FNMADD|FMSUB|FNMSUB)\w*`).Find(src); m != nil {
-		t.Fatalf("tile_amd64.s uses the fused instruction %s: its sums would lose Dot's bits", m)
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found above internal/mat: %v", err)
+	}
+	fused := regexp.MustCompile(`(?i)\bV(FMADD|FNMADD|FMSUB|FNMSUB)\w*`)
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".s") {
+			return nil
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := fused.FindString(line); m != "" {
+				rel, _ := filepath.Rel(root, path)
+				t.Errorf("%s:%d uses the fused instruction %s: its sums would lose the serial bits", rel, i+1, m)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no assembly file to check")
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
@@ -46,15 +47,35 @@ func BenchmarkBuild20k(b *testing.B) {
 	}
 }
 
+// benchLeaves runs bench once per leaf of the mat kernels, reporting
+// madds multiply-adds per iteration as Gmadd/s; leaf=avx2 is skipped on a
+// CPU without AVX2.
+func benchLeaves(b *testing.B, madds int, bench func(b *testing.B, lf mat.Leaf)) {
+	for _, lf := range []mat.Leaf{mat.LeafPortable, mat.LeafAVX2} {
+		b.Run("leaf="+lf.String(), func(b *testing.B) {
+			if !slices.Contains(mat.Leaves(), lf) {
+				b.Skip("CPU without AVX2")
+			}
+			b.ReportAllocs()
+			bench(b, lf)
+			b.ReportMetric(float64(madds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+		})
+	}
+}
+
+// BenchmarkProjectedUnfoldMode2 measures one one-shot mode-2 projected
+// unfolding, its entry buckets included, on each leaf.
 func BenchmarkProjectedUnfoldMode2(b *testing.B) {
 	f := benchSparse(400, 300, 500, 20000)
 	y1 := benchFactor(400, 32, 3)
 	y3 := benchFactor(500, 32, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		ProjectedUnfold(f, 2, y1, y3)
-	}
+	benchLeaves(b, f.NNZ()*32*32, func(b *testing.B, lf mat.Leaf) {
+		for range b.N {
+			p := NewProjector(f, 2)
+			p.leaf = lf
+			p.Unfold(y1, y3, 0)
+		}
+	})
 }
 
 func BenchmarkCore(b *testing.B) {
@@ -70,7 +91,7 @@ func BenchmarkCore(b *testing.B) {
 
 // BenchmarkUnfoldingGramApplyBlock measures one block apply of the
 // sparse HOSVD operator at the two block widths of the wide_* benchmark
-// corpus (mode 2 and mode 3).
+// corpus (mode 2 and mode 3), on each leaf.
 func BenchmarkUnfoldingGramApplyBlock(b *testing.B) {
 	f := benchSparse(400, 300, 500, 20000)
 	op := UnfoldingGram(f, 2)
@@ -78,11 +99,14 @@ func BenchmarkUnfoldingGramApplyBlock(b *testing.B) {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
 			q := benchFactor(300, width, 8)
 			z := mat.New(300, width)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				op.ApplyBlock(q, z, 0)
-			}
+			// Each entry is used once per column in each of the two
+			// sparse products.
+			benchLeaves(b, 2*f.NNZ()*width, func(b *testing.B, lf mat.Leaf) {
+				op.(*unfoldGramOp).leaf = lf
+				for range b.N {
+					op.ApplyBlock(q, z, 0)
+				}
+			})
 		})
 	}
 }

@@ -54,6 +54,7 @@ func UnfoldingGram(f *Sparse3, mode int) mat.Operator {
 	}
 	return &unfoldGramOp{
 		dim:     dim,
+		leaf:    mat.NativeLeaf(),
 		byFiber: groupEntries(len(fiberID), fibers, rows, vals),
 		byRow:   groupEntries(dim, rows, fibers, vals),
 	}
@@ -66,6 +67,7 @@ const gramPanel = 32
 
 type unfoldGramOp struct {
 	dim            int
+	leaf           mat.Leaf
 	byFiber, byRow grouped
 	scratch        []float64 // fibers × min(b, gramPanel), row-major
 }
@@ -83,8 +85,8 @@ func (o *unfoldGramOp) ApplyBlock(q, z *mat.Matrix, workers int) {
 	for lo := 0; lo < b; lo += width {
 		w := min(width, b-lo)
 		s := panel{data: o.scratch[:fibers*w], stride: w, w: w}
-		o.byFiber.multiply(s, panel{data: q.Data(), stride: b, lo: lo, w: w}, workers)
-		o.byRow.multiply(panel{data: z.Data(), stride: b, lo: lo, w: w}, s, workers)
+		o.byFiber.multiply(o.leaf, s, panel{data: q.Data(), stride: b, lo: lo, w: w}, workers)
+		o.byRow.multiply(o.leaf, panel{data: z.Data(), stride: b, lo: lo, w: w}, s, workers)
 	}
 }
 
@@ -131,28 +133,13 @@ func groupEntries(groups int, key, src []int32, val []float64) grouped {
 }
 
 // multiply overwrites out with the product of g and in: row r of out
-// becomes 0 + v₀·in[s₀] + v₁·in[s₁] + … over group r's entries in order.
-func (g grouped) multiply(out, in panel, workers int) {
+// becomes 0 + v₀·in[s₀] + v₁·in[s₁] + … over group r's entries in order,
+// through leaf lf's SparseRows.
+func (g grouped) multiply(lf mat.Leaf, out, in panel, workers int) {
 	parallelRows(g.starts, len(g.src)*out.w, workers, func(first, last int) {
-		for r := first; r < last; r++ {
-			dst := out.row(r)
-			clear(dst)
-			n, end := g.starts[r], g.starts[r+1]
-			// Two entries per pass over dst; d + v₀x₀ + v₁x₁ is evaluated
-			// left to right, the order two passes would add in.
-			for ; n+2 <= end; n += 2 {
-				v0, v1 := g.val[n], g.val[n+1]
-				x0, x1 := in.row(int(g.src[n]))[:len(dst)], in.row(int(g.src[n+1]))[:len(dst)]
-				for j, d := range dst {
-					dst[j] = d + v0*x0[j] + v1*x1[j]
-				}
-			}
-			if n < end {
-				v, x := g.val[n], in.row(int(g.src[n]))[:len(dst)]
-				for j := range dst {
-					dst[j] += v * x[j]
-				}
-			}
+		if first < last {
+			lf.SparseRows(out.data[first*out.stride+out.lo:], out.stride, out.w,
+				g.starts[first:last+1], g.src, g.val, in.data[in.lo:], in.stride)
 		}
 	})
 }

@@ -28,75 +28,117 @@ func ProjectedUnfold(f *Sparse3, mode int, ya, yb *mat.Matrix) *mat.Matrix {
 
 // ProjectedUnfoldWorkers is ProjectedUnfold with an explicit bound on the
 // worker pool that block-partitions the output rows (0 = one worker per
-// logical CPU, 1 = serial). Entries are bucketed by output row with a
-// deterministic counting sort and each row is accumulated by exactly one
-// worker in the same entry order as the serial loop, so the unfolding is
-// bit-identical for every worker count.
+// logical CPU, 1 = serial). It is a one-shot Projector: the unfolding is
+// bit-identical for every worker count, and the caller owns it.
 func ProjectedUnfoldWorkers(f *Sparse3, mode int, ya, yb *mat.Matrix, workers int) *mat.Matrix {
+	return NewProjector(f, mode).Unfold(ya, yb, workers)
+}
+
+// Projector computes the mode-n projected unfoldings of one tensor over
+// and over, as the sweeps of a decomposition do. It buckets the entries
+// by output row once, with a stable counting sort, and keeps the array
+// its unfoldings are written to between calls. A Projector is not safe
+// for concurrent use.
+type Projector struct {
+	leaf       mat.Leaf
+	mode, rows int
+	dimA, dimB int     // rows of the two factors
+	starts     []int   // row r holds bucket entries starts[r]…starts[r+1]−1
+	ia, ib     []int32 // per bucket entry, the rows of the two factors
+	val        []float64
+	buf        *[]float64 // the unfolding's array, shared by Projectors
+}
+
+// NewProjector buckets the entries of f for its mode-n projected
+// unfoldings (mode 1, 2 or 3).
+func NewProjector(f *Sparse3, mode int) *Projector {
+	return newProjector(f, mode, new([]float64))
+}
+
+// Projectors returns the projectors of the three modes of f. They write
+// their unfoldings to one shared array, grown to the largest, so a
+// decomposition — which is done with one mode's unfolding before it asks
+// for the next — holds one unfolding at a time: each Unfold through any
+// of them overwrites the last.
+func Projectors(f *Sparse3) [3]*Projector {
+	buf := new([]float64)
+	return [3]*Projector{newProjector(f, 1, buf), newProjector(f, 2, buf), newProjector(f, 3, buf)}
+}
+
+func newProjector(f *Sparse3, mode int, buf *[]float64) *Projector {
 	i1, i2, i3 := f.Dims()
-	var rows int
+	p := &Projector{leaf: mat.NativeLeaf(), mode: mode, buf: buf}
 	var rowOf func(Entry) (row, ia, ib int)
 	switch mode {
 	case 1:
-		checkFactor("mode-1 projection", ya, i2)
-		checkFactor("mode-1 projection", yb, i3)
-		rows = i1
+		p.rows, p.dimA, p.dimB = i1, i2, i3
 		rowOf = func(e Entry) (int, int, int) { return e.I, e.J, e.K }
 	case 2:
-		checkFactor("mode-2 projection", ya, i1)
-		checkFactor("mode-2 projection", yb, i3)
-		rows = i2
+		p.rows, p.dimA, p.dimB = i2, i1, i3
 		rowOf = func(e Entry) (int, int, int) { return e.J, e.I, e.K }
 	case 3:
-		checkFactor("mode-3 projection", ya, i1)
-		checkFactor("mode-3 projection", yb, i2)
-		rows = i3
+		p.rows, p.dimA, p.dimB = i3, i1, i2
 		rowOf = func(e Entry) (int, int, int) { return e.K, e.I, e.J }
 	default:
 		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
 	}
 	entries := f.Entries()
-	cols := ya.Cols() * yb.Cols()
-
-	// Bucket entries by output row (counting sort) so workers own
-	// disjoint row ranges and accumulate without synchronization.
-	starts := make([]int, rows+1)
+	p.starts = make([]int, p.rows+1)
 	for _, e := range entries {
 		r, _, _ := rowOf(e)
-		starts[r+1]++
+		p.starts[r+1]++
 	}
-	for r := 0; r < rows; r++ {
-		starts[r+1] += starts[r]
+	for r := range p.rows {
+		p.starts[r+1] += p.starts[r]
 	}
-	order := make([]int, len(entries))
-	fill := append([]int(nil), starts[:rows]...)
-	for idx, e := range entries {
-		r, _, _ := rowOf(e)
-		order[fill[r]] = idx
+	p.ia, p.ib = make([]int32, len(entries)), make([]int32, len(entries))
+	p.val = make([]float64, len(entries))
+	fill := append([]int(nil), p.starts[:p.rows]...)
+	for _, e := range entries {
+		r, ia, ib := rowOf(e)
+		n := fill[r]
+		p.ia[n], p.ib[n], p.val[n] = int32(ia), int32(ib), e.V
 		fill[r]++
 	}
+	return p
+}
 
-	w := mat.New(rows, cols)
-	parallelRows(starts, len(entries)*cols, workers, func(lo, hi int) {
-		term := func(idx int) outerTerm {
-			e := entries[idx]
-			_, ia, ib := rowOf(e)
-			return outerTerm{v: e.V, ra: ya.Row(ia), rb: yb.Row(ib)}
+// Unfold returns the mode-n projected unfolding for the factors ya and
+// yb of the other two modes, in ProjectedUnfold's layout, computed on at
+// most workers goroutines (0 = one per logical CPU). Workers own
+// disjoint row ranges and each row adds its entries in storage order,
+// so the unfolding is bit-identical for every worker count. The matrix
+// is backed by p's array: the next Unfold overwrites it.
+func (p *Projector) Unfold(ya, yb *mat.Matrix, workers int) *mat.Matrix {
+	if ya.Rows() != p.dimA || yb.Rows() != p.dimB {
+		panic(fmt.Sprintf("tensor: mode-%d projection factors have %d and %d rows, want %d and %d",
+			p.mode, ya.Rows(), yb.Rows(), p.dimA, p.dimB))
+	}
+	ca, cb := ya.Cols(), yb.Cols()
+	cols := ca * cb
+	if cap(*p.buf) < p.rows*cols {
+		*p.buf = make([]float64, p.rows*cols)
+	}
+	w, da, db := (*p.buf)[:p.rows*cols], ya.Data(), yb.Data()
+	parallelRows(p.starts, len(p.val)*cols, workers, func(lo, hi int) {
+		term := func(n int) mat.OuterTerm {
+			a, b := int(p.ia[n])*ca, int(p.ib[n])*cb
+			return mat.OuterTerm{V: p.val[n], A: da[a : a+ca], B: db[b : b+cb]}
 		}
 		for r := lo; r < hi; r++ {
-			dst := w.Row(r)
-			row := order[starts[r]:starts[r+1]]
-			n := 0
-			for ; n+4 <= len(row); n += 4 {
-				accumOuter4(dst, [4]outerTerm{term(row[n]), term(row[n+1]), term(row[n+2]), term(row[n+3])})
+			dst := w[r*cols : (r+1)*cols]
+			clear(dst)
+			n, end := p.starts[r], p.starts[r+1]
+			for ; n+4 <= end; n += 4 {
+				p.leaf.AccumOuter4(dst, &[4]mat.OuterTerm{term(n), term(n + 1), term(n + 2), term(n + 3)})
 			}
-			for ; n < len(row); n++ {
-				t := term(row[n])
-				accumOuter(dst, t.v, t.ra, t.rb)
+			for ; n < end; n++ {
+				t := term(n)
+				accumOuter(dst, t.V, t.A, t.B)
 			}
 		}
 	})
-	return w
+	return mat.FromData(p.rows, cols, w)
 }
 
 // parallelRows runs fn over [0, rows) split into one contiguous run of
@@ -146,37 +188,7 @@ func accumOuter(dst []float64, v float64, ra, rb []float64) {
 		}
 		seg := dst[a*len(rb) : (a+1)*len(rb)]
 		for b, vb := range rb {
-			seg[b] += s * vb
-		}
-	}
-}
-
-// outerTerm is one sparse entry's contribution v · (ra ⊗ rb) to a row of
-// a projected unfolding.
-type outerTerm struct {
-	v      float64
-	ra, rb []float64
-}
-
-// accumOuter4 adds four terms to dst in one pass, leaving in every
-// element the bits four accumOuter calls in the same order would: the sum
-// d + s₀b₀ + s₁b₁ + s₂b₂ + s₃b₃ is evaluated left to right, and a segment
-// in which some scale sᵢ is zero — which accumOuter skips — is handed
-// back to it term by term.
-func accumOuter4(dst []float64, t [4]outerTerm) {
-	nb := len(t[0].rb)
-	rb0, rb1, rb2, rb3 := t[0].rb, t[1].rb[:nb], t[2].rb[:nb], t[3].rb[:nb]
-	for a := range t[0].ra {
-		s0, s1, s2, s3 := t[0].v*t[0].ra[a], t[1].v*t[1].ra[a], t[2].v*t[2].ra[a], t[3].v*t[3].ra[a]
-		seg := dst[a*nb : (a+1)*nb]
-		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
-			for _, x := range t {
-				accumOuter(seg, x.v, x.ra[a:a+1], x.rb)
-			}
-			continue
-		}
-		for b, d := range seg {
-			seg[b] = d + s0*rb0[b] + s1*rb1[b] + s2*rb2[b] + s3*rb3[b]
+			seg[b] += float64(s * vb)
 		}
 	}
 }
@@ -187,18 +199,20 @@ func accumOuter4(dst []float64, t [4]outerTerm) {
 // then contracts mode 1, so the full projected tensor in original
 // coordinates is never formed.
 func Core(f *Sparse3, y1, y2, y3 *mat.Matrix) *Dense3 {
-	return CoreWorkers(f, y1, y2, y3, 0)
+	return NewProjector(f, 1).Core(y1, y2, y3, 0)
 }
 
-// CoreWorkers is Core with an explicit bound on the worker pool used for
-// the unfolding product and the mode-1 contraction (0 = one worker per
-// logical CPU, 1 = serial). The core is bit-identical for every worker
-// count.
-func CoreWorkers(f *Sparse3, y1, y2, y3 *mat.Matrix, workers int) *Dense3 {
-	i1, _, _ := f.Dims()
-	checkFactor("core", y1, i1)
-	w := ProjectedUnfoldWorkers(f, 1, y2, y3, workers) // I1 × (J2·J3)
-	s1 := mat.TMulWorkers(y1, w, workers)              // J1 × (J2·J3)
+// Core is the package-level Core through p, which must project mode 1,
+// with an explicit bound on the worker pool used for the unfolding product
+// and the mode-1 contraction (0 = one worker per logical CPU, 1 = serial).
+// The core is bit-identical for every worker count and never aliases p.
+func (p *Projector) Core(y1, y2, y3 *mat.Matrix, workers int) *Dense3 {
+	if p.mode != 1 {
+		panic(fmt.Sprintf("tensor: the core needs the mode-1 projector, not mode %d", p.mode))
+	}
+	checkFactor("core", y1, p.rows)
+	w := p.Unfold(y2, y3, workers)        // I1 × (J2·J3)
+	s1 := mat.TMulWorkers(y1, w, workers) // J1 × (J2·J3)
 	return FoldDense3(s1, 1, y1.Cols(), y2.Cols(), y3.Cols())
 }
 

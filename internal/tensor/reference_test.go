@@ -149,7 +149,7 @@ func kernelTensors(rng *rand.Rand) []namedTensor {
 	}
 }
 
-var kernelWorkers = []int{0, 1, 3, 4}
+var kernelWorkers = []int{0, 1, 2, 3, 4}
 
 func TestUnfoldingGramMatchesColumnApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -169,10 +169,13 @@ func TestUnfoldingGramMatchesColumnApply(t *testing.T) {
 					ref.Apply(q.Col(j), y)
 					want.SetCol(j, y)
 				}
-				for _, workers := range kernelWorkers {
-					z := randomMatrix(rng, n, b) // every element must be overwritten
-					op.ApplyBlock(q, z, workers)
-					requireSameBits(t, fmt.Sprintf("%s mode %d b=%d workers=%d", name, mode, b, workers), z, want)
+				for _, lf := range mat.Leaves() {
+					op.(*unfoldGramOp).leaf = lf
+					for _, workers := range kernelWorkers {
+						z := randomMatrix(rng, n, b) // every element must be overwritten
+						op.ApplyBlock(q, z, workers)
+						requireSameBits(t, fmt.Sprintf("%s mode %d b=%d leaf=%s workers=%d", name, mode, b, lf, workers), z, want)
+					}
 				}
 			}
 		}
@@ -210,7 +213,9 @@ func TestProjectedUnfoldMatchesReference(t *testing.T) {
 		i1, i2, i3 := f.Dims()
 		dims := map[int][2]int{1: {i2, i3}, 2: {i1, i3}, 3: {i1, i2}}
 		for mode := 1; mode <= 3; mode++ {
-			for _, j := range [][2]int{{1, 1}, {3, 5}, {4, 4}, {6, 9}} {
+			// Row widths J_b from 1 to 33: the AVX2 leaf takes multiples
+			// of four and leaves the rest to the portable one.
+			for _, j := range [][2]int{{1, 1}, {3, 5}, {4, 4}, {6, 9}, {2, 16}, {3, 31}, {2, 33}} {
 				ya := randomMatrix(rng, dims[mode][0], j[0])
 				yb := randomMatrix(rng, dims[mode][1], j[1])
 				// A zero row of ya scales its entries' terms to zero, which
@@ -219,11 +224,42 @@ func TestProjectedUnfoldMatchesReference(t *testing.T) {
 				clear(ya.Row(rng.Intn(ya.Rows())))
 				yb.Set(rng.Intn(yb.Rows()), 0, math.Inf(1))
 				want := refProjectedUnfold(f, mode, ya, yb)
-				for _, workers := range kernelWorkers {
-					got := ProjectedUnfoldWorkers(f, mode, ya, yb, workers)
-					requireSameBits(t, fmt.Sprintf("%s mode %d J=%v workers=%d", name, mode, j, workers), got, want)
+				p := NewProjector(f, mode)
+				for _, lf := range mat.Leaves() {
+					p.leaf = lf
+					for _, workers := range kernelWorkers {
+						got := p.Unfold(ya, yb, workers)
+						requireSameBits(t, fmt.Sprintf("%s mode %d J=%v leaf=%s workers=%d", name, mode, j, lf, workers), got, want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestProjectorsMatchOneShot unfolds through the three Projectors of one
+// tensor again and again, mode after mode — new factors, a new width,
+// other worker counts, as the sweeps of a decomposition do — and holds
+// every unfolding to the one-shot ProjectedUnfoldWorkers. Once the shared
+// array has grown, every mode writes to it.
+func TestProjectorsMatchOneShot(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	f := randSparse(rng, 40, 31, 53, 3000)
+	i1, i2, i3 := f.Dims()
+	dims := map[int][2]int{1: {i2, i3}, 2: {i1, i3}, 3: {i1, i2}}
+	proj := Projectors(f)
+	for round, j := range [][2]int{{3, 5}, {4, 8}, {4, 8}, {2, 3}} {
+		var arrays []*float64
+		for mode := 1; mode <= 3; mode++ {
+			ya := randomMatrix(rng, dims[mode][0], j[0])
+			yb := randomMatrix(rng, dims[mode][1], j[1])
+			want := ProjectedUnfoldWorkers(f, mode, ya, yb, 1)
+			got := proj[mode-1].Unfold(ya, yb, kernelWorkers[(round+mode)%len(kernelWorkers)])
+			requireSameBits(t, fmt.Sprintf("round %d mode %d J=%v", round, mode, j), got, want)
+			arrays = append(arrays, &got.Data()[0])
+		}
+		if round > 1 && (arrays[0] != arrays[1] || arrays[1] != arrays[2]) {
+			t.Fatalf("round %d: the modes' unfoldings do not share one array", round)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/mat"
 	"repro/internal/tensor"
 )
 
@@ -73,5 +74,32 @@ func BenchmarkSweepDeepCore(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		Decompose(f, opts)
+	}
+}
+
+// wideCorpus is the corpus of the wide_exact and wide_sublinear
+// benchmark workloads.
+func wideCorpus() datagen.Params {
+	p := datagen.BibsonomyLike()
+	p.Name = "wide"
+	p.Users, p.Resources, p.Assignments = 400, 2800, 63000
+	p.Categories, p.ConceptsPerCategory, p.WordsPerConcept = 8, 8, 12
+	return p
+}
+
+// BenchmarkHOSVDInitWide measures the mode-3 HOSVD initialization at the
+// wide_exact shape, 400×698×2580 → J3 = 52: 48 block applies of the
+// sparse Gram operator to a 2580×56 block, with their Cholesky-QR and
+// Rayleigh–Ritz steps — the largest single block of that build.
+func BenchmarkHOSVDInitWide(b *testing.B) {
+	f := datagen.Generate(wideCorpus()).Clean.Tensor()
+	i1, i2, i3 := f.Dims()
+	_, _, j3 := FromRatios(i1, i2, i3, 50, 50, 50)
+	opts := Options{Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var ws mat.Workspace
+		hosvdInit(&ws, f, 3, j3, opts)
 	}
 }

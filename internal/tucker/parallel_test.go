@@ -3,6 +3,7 @@ package tucker
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -220,4 +221,28 @@ func TestDecomposePanicsWithValidationError(t *testing.T) {
 		}
 	}()
 	Decompose(paperTensor(), Options{J1: 0, J2: 1, J3: 1})
+}
+
+// TestConcurrentDecompositionsShareNothing runs decompositions of the
+// same tensor side by side. Each owns its workspace — eigensolver
+// temporaries, entry buckets, projected unfoldings — so each must
+// reproduce the serial bits (and the race detector must stay quiet).
+func TestConcurrentDecompositionsShareNothing(t *testing.T) {
+	f := mediumTensor(9)
+	opts := Options{J1: 6, J2: 7, J3: 8, Seed: 3, MaxSweeps: 3, Workers: 2}
+	want := Decompose(f, opts)
+	got := make([]*Decomposition, 3)
+	done := make(chan int)
+	for i := range got {
+		go func() {
+			got[i] = Decompose(f, opts)
+			done <- i
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for i, d := range got {
+		requireBitIdentical(t, d, want, fmt.Sprintf("decomposition %d of %d", i+1, len(got)))
+	}
 }

@@ -20,6 +20,19 @@
 // Options.Sketch additionally switches the
 // leading-left SVDs of large unfoldings to a seeded randomized range
 // finder; the exact path remains the deterministic default.
+//
+// Each decomposition owns one workspace, made when it starts and shared
+// with nothing: a tensor.Projector per mode, which buckets the entries by
+// output row once and writes the projected unfolding W⁽ⁿ⁾ to one array
+// all three modes share, and a mat.Workspace, which keeps the explicit
+// Gram matrix, the packed panels, the blocks of subspace iteration and
+// the orthonormalization scratch across the 3·MaxSweeps leading-left
+// SVDs. (The HOSVD initialization runs on a workspace of its own, dropped
+// before the sweeps: its blocks span whole modes.) So the buffers are
+// allocated about once per decomposition, not once per mode update, and
+// concurrent decompositions never touch each other's. The factors, Λ and
+// the core a decomposition returns are its own; none aliases the
+// workspace.
 package tucker
 
 import (
@@ -230,10 +243,9 @@ func DecomposeContext(ctx context.Context, f *tensor.Sparse3, opts Options) (*De
 	sub := mat.SubspaceOptions{Seed: opts.Seed, MaxIter: 45, Tol: 1e-6, Workers: opts.Workers}
 
 	// Initial factors for modes 2 and 3 (mode 1 is computed first in the
-	// sweep and needs no initialization). Initialization only has to land
-	// in the right neighborhood — the ALS sweeps refine it — so the
-	// eigensolver runs with a loose budget here.
-	initSub := mat.SubspaceOptions{Seed: opts.Seed, MaxIter: 48, Tol: 1e-4, Workers: opts.Workers}
+	// sweep and needs no initialization). The HOSVD's blocks span a whole
+	// mode, larger than any sweep's, so its workspace is dropped before
+	// the sweeps begin.
 	var y2, y3 *mat.Matrix
 	if opts.WarmStart != nil {
 		y2 = adaptFactor(opts.WarmStart.Y2, i2, j2, opts.Seed+1)
@@ -245,13 +257,20 @@ func DecomposeContext(ctx context.Context, f *tensor.Sparse3, opts Options) (*De
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		y2 = hosvdInit(f, 2, j2, initSub)
+		var initWS mat.Workspace
+		y2 = hosvdInit(&initWS, f, 2, j2, opts)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		y3 = hosvdInit(f, 3, j3, initSub)
+		y3 = hosvdInit(&initWS, f, 3, j3, opts)
 	}
 
+	// One workspace for the sweeps, shared with nothing else: the entry
+	// buckets of each mode, the projected unfolding and the
+	// eigensolvers' temporaries are allocated once and reused by every
+	// sweep.
+	var ws mat.Workspace
+	proj := tensor.Projectors(f)
 	normF := f.FrobNorm()
 	var y1 *mat.Matrix
 	var lambda [3][]float64
@@ -265,22 +284,22 @@ func DecomposeContext(ctx context.Context, f *tensor.Sparse3, opts Options) (*De
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w1 := tensor.ProjectedUnfoldWorkers(f, 1, y2, y3, opts.Workers)
-		svd1 := leadingLeft(w1, j1, sub, opts.Sketch, sketchSeed(opts.Seed, 1, s))
+		w1 := proj[0].Unfold(y2, y3, opts.Workers)
+		svd1 := leadingLeft(&ws, w1, j1, sub, opts.Sketch, sketchSeed(opts.Seed, 1, s))
 		y1, lambda[0] = svd1.U, svd1.S
 		// Mode 2.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w2 := tensor.ProjectedUnfoldWorkers(f, 2, y1, y3, opts.Workers)
-		svd2 := leadingLeft(w2, j2, sub, opts.Sketch, sketchSeed(opts.Seed, 2, s))
+		w2 := proj[1].Unfold(y1, y3, opts.Workers)
+		svd2 := leadingLeft(&ws, w2, j2, sub, opts.Sketch, sketchSeed(opts.Seed, 2, s))
 		y2, lambda[1] = svd2.U, svd2.S
 		// Mode 3.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w3 := tensor.ProjectedUnfoldWorkers(f, 3, y1, y2, opts.Workers)
-		svd3 := leadingLeft(w3, j3, sub, opts.Sketch, sketchSeed(opts.Seed, 3, s))
+		w3 := proj[2].Unfold(y1, y2, opts.Workers)
+		svd3 := leadingLeft(&ws, w3, j3, sub, opts.Sketch, sketchSeed(opts.Seed, 3, s))
 		y3, lambda[2] = svd3.U, svd3.S
 
 		// After the mode-3 update the captured energy is Σ Λ₃², since
@@ -308,7 +327,7 @@ func DecomposeContext(ctx context.Context, f *tensor.Sparse3, opts Options) (*De
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	core := tensor.CoreWorkers(f, y1, y2, y3, opts.Workers)
+	core := proj[0].Core(y1, y2, y3, opts.Workers)
 	return &Decomposition{
 		Core: core, Y1: y1, Y2: y2, Y3: y3,
 		Lambda: lambda, Fit: fit, Sweeps: sweeps,
@@ -357,17 +376,20 @@ func sketchSeed(seed uint64, mode, sweep int) uint64 {
 }
 
 // hosvdInit returns the leading j left singular vectors of the raw mode-n
-// unfolding, computed via subspace iteration on the sparse Gram operator.
-func hosvdInit(f *tensor.Sparse3, mode, j int, sub mat.SubspaceOptions) *mat.Matrix {
-	op := tensor.UnfoldingGram(f, mode)
-	eig := mat.SubspaceIteration(op, j, sub)
-	return eig.Vectors
+// unfolding, computed via subspace iteration on the sparse Gram operator
+// with its temporaries in ws. Initialization only has to land in the
+// right neighborhood — the ALS sweeps refine it — so the eigensolver
+// runs with a loose budget.
+func hosvdInit(ws *mat.Workspace, f *tensor.Sparse3, mode, j int, opts Options) *mat.Matrix {
+	sub := mat.SubspaceOptions{Seed: opts.Seed, MaxIter: 48, Tol: 1e-4, Workers: opts.Workers}
+	return ws.SubspaceIteration(tensor.UnfoldingGram(f, mode), j, sub).Vectors
 }
 
 // leadingLeft returns the leading j left singular vectors and values of
-// w: exactly by default, or through the seeded randomized range finder
-// when the sketch is enabled and the unfolding is wide enough.
-func leadingLeft(w *mat.Matrix, j int, sub mat.SubspaceOptions, sk SketchOptions, seed uint64) *mat.SVD {
+// w: exactly by default, with the temporaries in ws, or through the
+// seeded randomized range finder when the sketch is enabled and the
+// unfolding is wide enough.
+func leadingLeft(ws *mat.Workspace, w *mat.Matrix, j int, sub mat.SubspaceOptions, sk SketchOptions, seed uint64) *mat.SVD {
 	rows, cols := w.Dims()
 	maxK := minInt(rows, cols)
 	if j > maxK {
@@ -380,7 +402,7 @@ func leadingLeft(w *mat.Matrix, j int, sub mat.SubspaceOptions, sk SketchOptions
 			Oversample: sk.Oversample, PowerIters: sk.PowerIters,
 		}, skSub)
 	}
-	return mat.LeftSVD(w, j, sub)
+	return ws.LeftSVD(w, j, sub)
 }
 
 // adaptFactor reshapes a warm-start factor to the current mode dimension
