@@ -18,7 +18,8 @@ func FuzzLoad(f *testing.F) {
 	// are the factor-free ones with the version patched to 4 — plus
 	// systematic truncations and a few classic corruptions, so the fuzzer
 	// starts from deep inside the format. The rejected shapes ride along:
-	// the v1–v3 files and a set decomposition byte.
+	// the v1–v3 files, a set decomposition byte and one file per index
+	// posting shape the loader refuses (untrustedPostings).
 	var valid [][]byte
 	for variant := range 8 { // bits: int8, float16, user factors
 		m := withLifecycle(buildModel(f))
@@ -61,6 +62,10 @@ func FuzzLoad(f *testing.F) {
 		f.Add(legacyFiles(f)[v])
 	}
 	f.Add(decompByteSet(f))
+	f.Add(written(f, withPostings(buildModel(f))))
+	for _, data := range untrustedPostings(f) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("CLSI"))
 	f.Add([]byte("not a model at all"))

@@ -45,9 +45,10 @@ func (ix *Index) Forward() *Forward {
 		for d := range f.dominant {
 			f.dominant[d] = -1
 		}
-		// Ascending term-major fill: postings are doc-sorted, so each
-		// document's list comes out in ascending term order — the same
-		// accumulation order the inverted scan uses.
+		// Ascending term-major fill: terms are visited in ascending
+		// order, so each document's list comes out in ascending term
+		// order — the same accumulation order the inverted scan uses —
+		// whatever order a term's postings are kept in.
 		for t, ps := range ix.postings {
 			for _, p := range ps {
 				f.docs[p.doc] = append(f.docs[p.doc], TermWeight{Term: t, Weight: p.weight})

@@ -3,6 +3,15 @@
 // over a term space (raw tags for the BOW baseline, distilled concepts
 // for CubeLSI and friends), an inverted index, and cosine-similarity
 // ranking (Equations 1–4).
+//
+// Each term's posting list is kept in impact order: (score desc, doc
+// asc), the score being the exact Equation 4 cosine a one-term query at
+// the term's own weight log(N/df) gives the posting. Every one-concept
+// query sends exactly that weight, so for it the list order is the
+// answer order and the ranking reads at most its first Limit+1
+// postings.
+// Every other query accumulates whole lists, whose order within a list
+// does not change its result. Snapshots are written in doc-id order.
 package ir
 
 import (
@@ -28,7 +37,7 @@ type Index struct {
 	numDocs  int
 	df       []int // document frequency per term
 	// postings[t] lists (doc, weight) pairs for term t, where weight is
-	// the document's tf-idf weight for t.
+	// the document's tf-idf weight for t, in impact order (orderByImpact).
 	postings [][]posting
 	norms    []float64 // per-document vector norms
 
@@ -113,10 +122,45 @@ func BuildIndexFloat(docs []map[int]float64, numTerms int) *Index {
 		}
 		ix.norms[d] = math.Sqrt(norm2)
 	}
-	for t := range ix.postings {
-		sort.Slice(ix.postings[t], func(a, b int) bool { return ix.postings[t][a].doc < ix.postings[t][b].doc })
-	}
+	ix.orderByImpact()
 	return ix
+}
+
+// impactWeight returns w_t = log(N/df_t), the weight every one-concept
+// query sends term t (its c/total is exactly 1), and whether it is a
+// positive finite number. Only then is t's list in impact order and
+// eligible for rank's early exit.
+func (ix *Index) impactWeight(t int) (float64, bool) {
+	w := math.Log(float64(ix.numDocs) / float64(ix.df[t]))
+	return w, w > 0 && w <= math.MaxFloat64
+}
+
+// impact is the Equation 4 score a one-term query at weight w, of norm
+// qnorm, gives a posting of weight pw in a document of norm norm: the
+// scan's dot / (qnorm · norm) with dot = w · pw, bit for bit.
+func impact(w, qnorm, pw, norm float64) float64 {
+	return w * pw / (qnorm * norm)
+}
+
+// orderByImpact sorts every posting list with a usable impact weight
+// into (score desc, doc asc) order, the score being impact at that
+// weight — the order a one-term query at w_t ranks the list's documents
+// in. The other lists stay in doc order; no query reads them early.
+func (ix *Index) orderByImpact() {
+	for t, ps := range ix.postings {
+		w, ok := ix.impactWeight(t)
+		if !ok {
+			continue
+		}
+		qnorm := math.Sqrt(w * w)
+		slices.SortFunc(ps, func(a, b posting) int {
+			sa, sb := impact(w, qnorm, a.weight, ix.norms[a.doc]), impact(w, qnorm, b.weight, ix.norms[b.doc])
+			if c := cmp.Compare(sb, sa); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.doc, b.doc)
+		})
+	}
 }
 
 func (ix *Index) checkTerm(t int) {
@@ -389,11 +433,16 @@ func (sel *selection) result() []Scored {
 // ranking of the documents reached through the query terms' posting
 // lists, optionally blended with a user affinity.
 //
-// Terms are visited in ascending order, so each document's dot product
-// is summed in ascending term order — the order Forward.Score uses, and
-// the reason the two agree to the bit. The accumulator is dense and
-// pooled; only the touched entries are cleared, so a query costs
-// O(postings scanned), independent of the collection size.
+// A shared query of one term at its impact weight — every one-concept
+// query — reads that term's list in impact order (rankImpact) and stops
+// within its first Limit+1 postings. Every other query scans whole lists.
+//
+// The scan visits terms in ascending order, so each document's dot
+// product is summed in ascending term order — the order Forward.Score
+// uses, and the reason the two agree to the bit. The accumulator is
+// dense and pooled; only the touched entries are cleared, so a scan
+// costs O(postings of the query's terms), independent of the collection
+// size.
 //
 // The selection pass has one loop per case so that the unblended loop —
 // the shared ranking every unpersonalised query runs — makes no call for
@@ -403,6 +452,13 @@ func (sel *selection) result() []Scored {
 func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int, minScore float64) []Scored {
 	if len(qw) == 0 {
 		return nil
+	}
+	if user == nil && len(qw) == 1 {
+		for t, w := range qw {
+			if iw, ok := ix.impactWeight(t); ok && w == iw {
+				return ix.rankImpact(t, w, topN, minScore)
+			}
+		}
 	}
 	terms := sortedTerms(qw)
 	qnorm := queryNorm(qw, terms)
@@ -454,6 +510,38 @@ func (ix *Index) rank(qw map[int]float64, user []float64, beta float64, topN int
 	out := sel.result()
 	s.touched = touched
 	ix.scratch.Put(s)
+	return out
+}
+
+// rankImpact ranks the one-term query {t: w}, w being t's impact
+// weight. Term t's list is in that query's answer order, (score desc,
+// doc asc), so the answer is its longest prefix at or above minScore,
+// cut to topN: the walk stops once it holds topN documents or at the
+// first posting below minScore, the first the scan's admission floor
+// would reject. Each score is computed with the scan's expressions, so
+// the result is the scan's to the bit.
+func (ix *Index) rankImpact(t int, w float64, topN int, minScore float64) []Scored {
+	ps := ix.postings[t]
+	n := len(ps)
+	if topN > 0 && topN < n {
+		n = topN
+	}
+	out := make([]Scored, 0, n)
+	qnorm := math.Sqrt(w * w)
+	for _, p := range ps {
+		if len(out) == n {
+			break
+		}
+		norm := ix.norms[p.doc]
+		if norm == 0 {
+			continue
+		}
+		score := impact(w, qnorm, p.weight, norm)
+		if score < minScore {
+			break
+		}
+		out = append(out, Scored{Doc: p.doc, Score: score})
+	}
 	return out
 }
 

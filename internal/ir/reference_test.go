@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -217,7 +218,7 @@ func TestSelectionTieAdversarialReference(t *testing.T) {
 			{1: 2, 2: 2, 5: 1, 8: 1},
 			{1: 1, 6: 1},
 			{2: 1, 4: 1, 7: 2},
-			{1: 1}, // one term: touched ascending, the control
+			{1: 1}, // one term at its impact weight: the early exit, the control
 		}
 		type pass struct {
 			name string
@@ -382,5 +383,120 @@ func TestRankDominantMatchesBruteForceReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// skewIndex draws a seeded index shaped like a corpus whose lump
+// concept covers almost every resource: term 0 is in about 95 % of the
+// documents, and two thirds of those hold nothing else, so a one-term
+// query on it scores each of them exactly 1.0 — long runs of exact
+// ties. Some documents are empty (zero norm, no postings).
+func skewIndex(rng *rand.Rand, nDocs, nTerms int) *Index {
+	docs := make([]map[int]int, nDocs)
+	for d := range docs {
+		doc := map[int]int{}
+		if rng.Intn(20) != 0 {
+			doc[0] = 1 + rng.Intn(3)
+		}
+		if rng.Intn(3) == 0 {
+			for range 1 + rng.Intn(3) {
+				doc[1+rng.Intn(nTerms-1)] += 1 + rng.Intn(2)
+			}
+		}
+		docs[d] = doc
+	}
+	return BuildIndex(docs, nTerms)
+}
+
+// poisonTail replaces term t's list, from position k on, with postings
+// of doc -1, which no pass can read without panicking, and returns the
+// function that restores it.
+func poisonTail(ix *Index, t, k int) (restore func()) {
+	orig := ix.postings[t]
+	poisoned := slices.Clone(orig)
+	for i := k; i < len(poisoned); i++ {
+		poisoned[i].doc = -1
+	}
+	ix.postings[t] = poisoned
+	return func() { ix.postings[t] = orig }
+}
+
+// TestImpactExitMatchesReference is the property test of rank's early
+// exit. On skewed and random indexes with heavy exact ties, every
+// one-term query at its term's impact weight — the early exit — and at
+// another weight, every multi-term query and every user blend (all
+// three the scan) must reproduce the brute-force reference bit for bit,
+// at topN 0, 1, 10 and at or past the match count, and at a MinScore of
+// ±0, ±∞, each tied score, the top score and just above it. The early
+// exit must also read no posting past its topN-th: the test poisons
+// the rest of the list, which the scan would read.
+func TestImpactExitMatchesReference(t *testing.T) {
+	const beta = 0.25
+	var indexes []*Index
+	for seed := range 4 {
+		rng := rand.New(rand.NewSource(int64(300 + seed)))
+		indexes = append(indexes,
+			skewIndex(rng, 60+rng.Intn(300), 4+rng.Intn(8)),
+			randomIndex(rng, 40+rng.Intn(200), 5+rng.Intn(12)))
+	}
+	sawLumpTies := false
+	for ii, ix := range indexes {
+		rng := rand.New(rand.NewSource(int64(ii)))
+		nTerms := ix.NumTerms()
+		user := make([]float64, nTerms)
+		for i := range user {
+			user[i] = rng.NormFloat64()
+		}
+		type query struct {
+			qw    map[int]float64
+			early bool // one term at its impact weight
+		}
+		var queries []query
+		for term := range nTerms {
+			for _, c := range []int{1, 3} { // c/total is 1 either way
+				qw := ix.QueryWeights(map[int]int{term: c})
+				w, ok := ix.impactWeight(term)
+				early := ok && len(qw) == 1 && qw[term] == w
+				if len(ix.postings[term]) > 0 && !early {
+					t.Fatalf("index %d term %d: one-term query weight %v is not the impact weight %v", ii, term, qw[term], w)
+				}
+				queries = append(queries, query{qw, early})
+			}
+			if w, ok := ix.impactWeight(term); ok {
+				queries = append(queries, query{map[int]float64{term: w / 3}, false}, query{map[int]float64{term: 1}, false})
+			}
+			queries = append(queries, query{ix.QueryWeights(map[int]int{0: 1, term: 1 + term%2}), false})
+		}
+		for qi, q := range queries {
+			full := refRank(ix, q.qw, 0, math.Inf(-1))
+			mins := []float64{math.Inf(-1), math.Copysign(0, -1), 0, 1, 2, math.Inf(1)}
+			for _, i := range tieCuts(full) {
+				mins = append(mins, full[i].Score)
+				if full[i].Score == 1 && q.early {
+					sawLumpTies = true
+				}
+			}
+			if len(full) > 0 {
+				mins = append(mins, full[0].Score, math.Nextafter(full[0].Score, 2))
+			}
+			for _, topN := range []int{-1, 0, 1, 10, len(full), len(full) + 3} {
+				for _, min := range mins {
+					label := fmt.Sprintf("index %d query %d %v topN %d min %v", ii, qi, q.qw, topN, min)
+					want := refRank(ix, q.qw, topN, min)
+					mustEqualScored(t, label+" shared", ix.RankWeights(q.qw, topN, min), want)
+					mustEqualScored(t, label+" user", ix.RankBlended(q.qw, user, beta, topN, min), refRankBlended(ix, q.qw, user, beta, topN, min))
+					if q.early && topN > 0 {
+						for term := range q.qw {
+							restore := poisonTail(ix, term, topN)
+							mustEqualScored(t, label+" poisoned tail", ix.RankWeights(q.qw, topN, min), want)
+							restore()
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawLumpTies {
+		t.Fatal("no early-exit query met a run of ties at 1.0; the skewed indexes lost their lump")
 	}
 }

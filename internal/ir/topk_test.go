@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -77,18 +78,30 @@ func benchIndex(b *testing.B, nDocs int) (*Index, map[int]int) {
 	return ix, map[int]int{0: 1, 7: 1, 13: 2}
 }
 
-// BenchmarkQueryTop10 measures the bounded-heap serving path: top-10
-// from a large scored set.
+// BenchmarkQueryTop10 measures the serving path: top-10 from a large
+// scored set. docs=N is a three-term query, scanned into the bounded
+// heap; terms=1/docs=N is a one-term query on the lump of a skewed
+// index (skewIndex: the term is in about 95 % of the documents), which
+// reads the term's impact-ordered list and stops after ten postings.
 func BenchmarkQueryTop10(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
 			ix, counts := benchIndex(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				ix.Query(counts, 10)
-			}
+			benchQueryTop10(b, ix, counts)
 		})
+	}
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("terms=1/docs=%d", n), func(b *testing.B) {
+			benchQueryTop10(b, skewIndex(rand.New(rand.NewSource(1)), n, 23), map[int]int{0: 1})
+		})
+	}
+}
+
+func benchQueryTop10(b *testing.B, ix *Index, counts map[int]int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		ix.Query(counts, 10)
 	}
 }
 

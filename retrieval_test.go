@@ -3,9 +3,13 @@ package cubelsi
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 // parityQueries is the workload the parity tests replay against every
@@ -287,5 +291,77 @@ func TestSaveLoadUserFactorsRoundtrip(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no user factors") {
 		t.Fatalf("error %q does not explain the missing section", err)
+	}
+}
+
+// TestOneConceptQueriesMatchDocByDocScore pins the one-concept queries,
+// which the index answers by reading the concept's impact-ordered list
+// and stopping early: one tag, a repeated tag, two tags of the concept,
+// a tag plus Query.Concepts naming its own concept, and the concept
+// named twice all send the concept's own weight and must each rank
+// exactly as a doc-by-doc reference does — every resource scored
+// through the forward view, sorted (score desc, doc asc), thresholded
+// and cut — at every limit and at thresholds on tied scores.
+func TestOneConceptQueriesMatchDocByDocScore(t *testing.T) {
+	eng := tinyEngine(t)
+	n := eng.Stats().Resources
+	byConcept := map[int][]string{}
+	for _, tag := range eng.Tags() {
+		if k, err := eng.ConceptOf(tag); err == nil {
+			byConcept[k] = append(byConcept[k], tag)
+		}
+	}
+	f := eng.index.Forward()
+	reference := func(k, limit int, min float64) []Result {
+		qw := eng.index.QueryWeights(map[int]int{k: 1})
+		qnorm := eng.index.QueryNorm(qw)
+		var all []ir.Scored
+		for d := range n {
+			if s, ok := f.Score(qw, qnorm, d); ok && s >= min {
+				all = append(all, ir.Scored{Doc: d, Score: s})
+			}
+		}
+		ir.SortScoredDesc(all)
+		if limit > 0 && len(all) > limit {
+			all = all[:limit]
+		}
+		return eng.results(all)
+	}
+	pairs := 0
+	for k := range eng.Concepts() {
+		tags := byConcept[k]
+		if len(tags) == 0 {
+			continue
+		}
+		a := tags[0]
+		variants := map[string]Query{
+			"one tag":         {Tags: []string{a}},
+			"repeated tag":    {Tags: []string{a, a, a}},
+			"tag and concept": {Tags: []string{a}, Concepts: []int{k}},
+			"concept twice":   {Concepts: []int{k, k}},
+		}
+		if len(tags) > 1 {
+			variants["two tags"] = Query{Tags: []string{a, tags[1], a}}
+			pairs++
+		}
+		full := reference(k, 0, math.Inf(-1))
+		mins := []float64{-1, 0, 1}
+		for i := 0; i+1 < len(full); i++ {
+			if full[i].Score == full[i+1].Score {
+				mins = append(mins, full[i].Score)
+			}
+		}
+		for name, q := range variants {
+			for _, limit := range []int{0, 1, 3, n + 5} {
+				for _, min := range mins {
+					q.Limit, q.MinScore = limit, min
+					label := fmt.Sprintf("concept %d %s limit %d min %v", k, name, limit, min)
+					mustEqualResults(t, label, reference(k, limit, min), eng.Query(q))
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no concept holds two tags; the two-tag variant went untested")
 	}
 }
